@@ -12,7 +12,7 @@ from ackirby.presentations import (
     InvertRelator, MultiplyRelator, ConjugateRelator, SwapRelators,
     Stabilize, Destabilize, NielsenGenerator, InvertGenerator,
     SwapGenerators, MultiplyByConjugate, Composite,
-    apply_move, inverse_move, expand_macro, canonical_form, canonical_key,
+    apply_move, inverse_move, expand_macro, canonical_form,
     canonical_presentation, is_trivial_presentation, abelianization_matrix,
     total_length, presentation_to_text, parse_presentation,
 )

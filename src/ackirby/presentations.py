@@ -10,12 +10,17 @@ words.  Moves come in two regimes:
 
 MultiplyByConjugate and Composite are scripting macros that expand to
 atomic moves.  All moves are invertible; see inverse_move.
+
+apply_move defines the relator moves and Stabilize.  The generator-level
+moves (Destabilize and the basis changes) are defined once, in
+generator_move, as generator maps applied by map_generators; apply_move
+and the search's successors (search._successors) both call it.
 """
 
 from dataclasses import dataclass
 
 from ackirby import _kernel
-from ackirby.words import Word, exponent_sums, format_word, parse_word, substitute
+from ackirby.words import Word, exponent_sums, format_word, parse_word
 
 
 class MoveError(ValueError):
@@ -147,9 +152,9 @@ EXTENDED_MOVE_TYPES = STRICT_MOVE_TYPES + (NielsenGenerator, InvertGenerator,
 MACRO_MOVE_TYPES = (MultiplyByConjugate, Composite)
 
 
-def _check_relator_index(P, idx, name="relator index"):
-    if not isinstance(idx, int) or not 1 <= idx <= P.rank:
-        raise MoveError("%s %r out of range 1..%d" % (name, idx, P.rank))
+def _check_index(rank, idx, name="relator index"):
+    if not isinstance(idx, int) or not 1 <= idx <= rank:
+        raise MoveError("%s %r out of range 1..%d" % (name, idx, rank))
 
 
 def expand_macro(move):
@@ -195,13 +200,13 @@ def apply_move(P, move):
     n = P.rank
 
     if isinstance(move, InvertRelator):
-        _check_relator_index(P, move.i)
+        _check_index(n, move.i)
         rels[move.i - 1] = rels[move.i - 1].inverse()
         return Presentation(n, rels)
 
     if isinstance(move, MultiplyRelator):
-        _check_relator_index(P, move.i)
-        _check_relator_index(P, move.j)
+        _check_index(n, move.i)
+        _check_index(n, move.j)
         if move.i == move.j:
             raise MoveError("multiply needs two distinct relators, got i = j = %d" % move.i)
         if move.side not in ("left", "right"):
@@ -211,7 +216,7 @@ def apply_move(P, move):
         return Presentation(n, rels)
 
     if isinstance(move, ConjugateRelator):
-        _check_relator_index(P, move.i)
+        _check_index(n, move.i)
         a = move.letter
         if not isinstance(a, int) or a == 0 or abs(a) > n:
             raise MoveError("conjugating letter %r is not a generator of rank %d" % (a, n))
@@ -219,8 +224,8 @@ def apply_move(P, move):
         return Presentation(n, rels)
 
     if isinstance(move, SwapRelators):
-        _check_relator_index(P, move.i)
-        _check_relator_index(P, move.j)
+        _check_index(n, move.i)
+        _check_index(n, move.j)
         if move.i == move.j:
             raise MoveError("swap needs two distinct relators, got i = j = %d" % move.i)
         a, b = move.i - 1, move.j - 1
@@ -230,64 +235,91 @@ def apply_move(P, move):
     if isinstance(move, Stabilize):
         return Presentation(n + 1, rels + [Word((n + 1,))])
 
+    rank, letters = generator_move(n, tuple(r.letters for r in rels), move)
+    return Presentation(rank, letters)
+
+
+def map_generators(relators, images):
+    """Apply the generator map k -> images[k] to relator letter tuples.
+
+    Every letter k becomes the letter tuple images[k] and -k its inverse;
+    generators without an image stay.  Each result is freely reduced.
+
+    >>> map_generators(((1, 2), (1, -2)), {1: (1, -2)})
+    ((1,), (1, -2, -2))
+    """
+    table = {}
+    for k, image in images.items():
+        table[k] = image
+        table[-k] = _kernel.invert_word(image)
+    get = table.get
+    reduce_word = _kernel.reduce_word
+    out = []
+    for r in relators:
+        letters = []
+        for v in r:
+            image = get(v)
+            if image is None:
+                letters.append(v)
+            else:
+                letters.extend(image)
+        out.append(reduce_word(tuple(letters)))
+    return tuple(out)
+
+
+def generator_move(rank, relators, move):
+    """Apply a generator-level move to a rank and its relator letter tuples.
+
+    The move is a Destabilize, NielsenGenerator, InvertGenerator or
+    SwapGenerators; a failed precondition raises MoveError.  Returns the
+    new rank and relators, each freely reduced (not canonicalized).
+
+    >>> generator_move(2, ((1,), (2, 2)), Destabilize(1))
+    (1, ((1, 1),))
+    """
     if isinstance(move, Destabilize):
-        _check_relator_index(P, move.i)
-        if n < 2:
+        i = move.i
+        _check_index(rank, i)
+        if rank < 2:
             raise MoveError("cannot destabilize a rank-1 presentation")
-        r = rels[move.i - 1]
+        r = relators[i - 1]
         if len(r) != 1:
             raise MoveError(
                 "destabilize needs relator %d to be a bare generator, got %s"
-                % (move.i, format_word(r) or "the empty word"))
-        k = abs(r.letters[0])
-        for idx, other in enumerate(rels):
-            if idx != move.i - 1 and any(abs(v) == k for v in other):
+                % (i, format_word(r) or "the empty word"))
+        k = abs(r[0])
+        for idx, other in enumerate(relators):
+            if idx != i - 1 and (k in other or -k in other):
                 raise MoveError(
                     "destabilize needs generator %d to occur only in relator %d,"
-                    " but it occurs in relator %d" % (k, move.i, idx + 1))
-        del rels[move.i - 1]
-        renumbered = [
-            Word(tuple((1 if v > 0 else -1) * (abs(v) - (abs(v) > k)) for v in r2))
-            for r2 in rels
-        ]
-        return Presentation(n - 1, renumbered)
-
+                    " but it occurs in relator %d" % (k, i, idx + 1))
+        # generators above k move down one index
+        return rank - 1, map_generators(relators[:i - 1] + relators[i:],
+                                        {g: (g - 1,) for g in range(k + 1, rank + 1)})
     if isinstance(move, NielsenGenerator):
-        _check_relator_index(P, move.i, "generator index")
-        _check_relator_index(P, move.j, "generator index")
+        _check_index(rank, move.i, "generator index")
+        _check_index(rank, move.j, "generator index")
         if move.i == move.j:
             raise MoveError("Nielsen move needs two distinct generators, got i = j = %d" % move.i)
         if move.sign not in (1, -1):
             raise MoveError("Nielsen sign must be +1 or -1, got %r" % (move.sign,))
-        rep = Word((move.i, move.sign * move.j))
-        return Presentation(n, [substitute(r, move.i, rep) for r in rels])
-
-    if isinstance(move, InvertGenerator):
-        _check_relator_index(P, move.i, "generator index")
-        rep = Word((-move.i,))
-        return Presentation(n, [substitute(r, move.i, rep) for r in rels])
-
-    if isinstance(move, SwapGenerators):
-        _check_relator_index(P, move.i, "generator index")
-        _check_relator_index(P, move.j, "generator index")
+        images = {move.i: (move.i, move.sign * move.j)}
+    elif isinstance(move, InvertGenerator):
+        _check_index(rank, move.i, "generator index")
+        images = {move.i: (-move.i,)}
+    elif isinstance(move, SwapGenerators):
+        _check_index(rank, move.i, "generator index")
+        _check_index(rank, move.j, "generator index")
         if move.i == move.j:
             raise MoveError("swap needs two distinct generators, got i = j = %d" % move.i)
-        a, b = move.i, move.j
-
-        def relabel(v):
-            if abs(v) == a:
-                return (1 if v > 0 else -1) * b
-            if abs(v) == b:
-                return (1 if v > 0 else -1) * a
-            return v
-
-        return Presentation(n, [Word(tuple(relabel(v) for v in r)) for r in rels])
-
-    raise MoveError("unknown move %r" % (move,))
+        images = {move.i: (move.j,), move.j: (move.i,)}
+    else:
+        raise MoveError("unknown move %r" % (move,))
+    return rank, map_generators(relators, images)
 
 
 def inverse_move(move, context):
-    """A move undoing `move` on `context` up to canonical key.
+    """A move undoing `move` on `context` up to canonical form.
 
     Most inverses are exact; Destabilize of a non-final generator is
     undone only up to relator order and is returned as a Composite of
@@ -302,11 +334,8 @@ def inverse_move(move, context):
     if isinstance(move, Stabilize):
         return Destabilize(context.rank + 1)
     if isinstance(move, Destabilize):
-        _check_relator_index(context, move.i)
-        r = context.relators[move.i - 1]
-        if len(r) != 1:
-            raise MoveError("destabilize needs relator %d to be a bare generator" % move.i)
-        k = abs(r.letters[0])
+        apply_move(context, move)  # raises MoveError if the move is illegal here
+        k = abs(context.relators[move.i - 1].letters[0])
         n = context.rank
         swaps = tuple(SwapGenerators(t, t + 1) for t in range(n - 1, k - 1, -1))
         return Composite((Stabilize(),) + swaps) if swaps else Stabilize()
@@ -340,23 +369,21 @@ def canonical_form(P):
     return (P.rank, tuple(rels))
 
 
-def canonical_key(P):
-    """Hashable digest of the canonical form.  The key is the full form,
-    so equal keys mean equal classes (no collisions by construction)."""
-    return repr(canonical_form(P)).encode("ascii")
-
-
 def canonical_presentation(P):
     """The canonical representative of P's move-symmetry class."""
     rank, rels = canonical_form(P)
     return Presentation(rank, [Word(r) for r in rels])
 
 
+def _is_trivial_state(state):
+    rank, rels = state
+    return rels == tuple((k,) for k in range(1, rank + 1))
+
+
 def is_trivial_presentation(P):
     """True iff, after canonicalization, the relators are exactly
     g1, ..., gn in some order and sign.  False if any relator is empty."""
-    rank, rels = canonical_form(P)
-    return rels == tuple((k,) for k in range(1, rank + 1))
+    return _is_trivial_state(canonical_form(P))
 
 
 def abelianization_matrix(P):

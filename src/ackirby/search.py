@@ -10,18 +10,25 @@ implicit; when a certificate is extracted, every class step is expanded
 into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
+The multiplication and stabilization edges are built here (the
+products by `_kernel.expand_multiply`); destabilization and the
+generator basis changes are presentations.generator_move, the same
+definition apply_move replays, so a class edge and its atomic moves
+cannot drift apart.
+
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
 """
 
+import functools
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ackirby import _kernel
 from ackirby.presentations import (
-    Composite,
     ConjugateRelator,
     Destabilize,
     InvertGenerator,
@@ -35,14 +42,15 @@ from ackirby.presentations import (
     SwapRelators,
     apply_move,
     canonical_form,
+    generator_move,
     is_trivial_presentation,
     move_from_dict,
     move_to_dict,
     presentation_from_dict,
     presentation_to_dict,
+    _is_trivial_state,
     _relator_sort_key,
 )
-from ackirby.words import Word
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class SearchConfig:
     dedup_capacity: int = 1_000_000
     workers: int = 1
     strategy: str = "bfs"                # "bfs" | "iddfs"
-    priority: object = None              # reserved hook; must stay None
 
 
 @dataclass
@@ -124,30 +131,25 @@ def verify(cert, trace=False):
 # ---------------------------------------------------------------------------
 # Class states
 
-def _state_of(P):
-    return canonical_form(P)
-
-
 def _state_total(state):
     return sum(len(r) for r in state[1])
 
 
-def _is_trivial_state(state):
-    rank, rels = state
-    return rels == tuple((k,) for k in range(1, rank + 1))
+# edge kind -> the generator-level move it stands for; the edge's
+# remaining fields are the move's arguments
+_GENERATOR_EDGES = {"destab": Destabilize, "nielsen": NielsenGenerator,
+                    "invgen": InvertGenerator, "swapgen": SwapGenerators}
 
 
-def _subst_tuple(rel, target, replacement):
-    out = []
-    rep_inv = tuple(-v for v in reversed(replacement))
-    for v in rel:
-        if v == target:
-            out.extend(replacement)
-        elif v == -target:
-            out.extend(rep_inv)
-        else:
-            out.append(v)
-    return _kernel.reduce_word(tuple(out))
+@functools.lru_cache(maxsize=None)
+def _basis_change_edges(rank):
+    """(edge, move) pairs of the extended regime's generator basis
+    changes at a rank, in enumeration order."""
+    gens = range(1, rank + 1)
+    edges = [("nielsen", i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
+    edges += [("invgen", i) for i in gens]
+    edges += [("swapgen", i, j) for i in gens for j in gens if i < j]
+    return tuple((edge, _GENERATOR_EDGES[edge[0]](*edge[1:])) for edge in edges)
 
 
 def _successors(state, max_len, regime):
@@ -180,51 +182,25 @@ def _successors(state, max_len, regime):
         new_rels.sort(key=_relator_sort_key)
         out.append((("stab",), (rank + 1, tuple(new_rels))))
 
-    # destabilize
-    if rank >= 2:
-        for i in range(1, rank + 1):
-            r = rels[i - 1]
-            if len(r) != 1:
+    # destabilize relator i when it is a single letter; generator_move
+    # rejects the move when that generator occurs in another relator.
+    # Renumbering keeps canonical relators canonical and sorted.
+    for i in range(1, rank + 1):
+        if len(rels[i - 1]) == 1:
+            try:
+                child = generator_move(rank, rels, Destabilize(i))
+            except MoveError:
                 continue
-            k = r[0]  # canonical single-letter relators are positive
-            if any(idx != i - 1 and any(abs(v) == k for v in other)
-                   for idx, other in enumerate(rels)):
-                continue
-            new_rels = tuple(
-                tuple((1 if v > 0 else -1) * (abs(v) - (abs(v) > k)) for v in other)
-                for idx, other in enumerate(rels) if idx != i - 1)
-            out.append((("destab", i), (rank - 1, new_rels)))
+            out.append((("destab", i), child))
 
     if regime == "extended":
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                if j == i:
-                    continue
-                for s in (1, -1):
-                    new_rels = sorted(
-                        (_kernel.canonical_relator(_subst_tuple(r, i, (i, s * j)))
-                         for r in rels),
-                        key=_relator_sort_key)
-                    child = (rank, tuple(new_rels))
-                    if _state_total(child) <= max_len:
-                        out.append((("nielsen", i, j, s), child))
-        for i in range(1, rank + 1):
-            new_rels = sorted(
-                (_kernel.canonical_relator(_subst_tuple(r, i, (-i,))) for r in rels),
-                key=_relator_sort_key)
-            out.append((("invgen", i), (rank, tuple(new_rels))))
-        for i in range(1, rank + 1):
-            for j in range(i + 1, rank + 1):
-                def relabel(v, a=i, b=j):
-                    if abs(v) == a:
-                        return (1 if v > 0 else -1) * b
-                    if abs(v) == b:
-                        return (1 if v > 0 else -1) * a
-                    return v
-                new_rels = sorted(
-                    (_kernel.canonical_relator(tuple(relabel(v) for v in r)) for r in rels),
-                    key=_relator_sort_key)
-                out.append((("swapgen", i, j), (rank, tuple(new_rels))))
+        for edge, move in _basis_change_edges(rank):
+            _, mapped = generator_move(rank, rels, move)
+            child = (rank, tuple(sorted(map(_kernel.canonical_relator, mapped),
+                                        key=_relator_sort_key)))
+            # only a Nielsen move can lengthen the presentation
+            if _state_total(child) <= max_len:
+                out.append((edge, child))
 
     return out
 
@@ -292,14 +268,8 @@ def _edge_moves(P, edge):
         P = emit(MultiplyRelator(i, j, "right"), P)
     elif kind == "stab":
         P = emit(Stabilize(), P)
-    elif kind == "destab":
-        P = emit(Destabilize(edge[1]), P)
-    elif kind == "nielsen":
-        P = emit(NielsenGenerator(edge[1], edge[2], edge[3]), P)
-    elif kind == "invgen":
-        P = emit(InvertGenerator(edge[1]), P)
-    elif kind == "swapgen":
-        P = emit(SwapGenerators(edge[1], edge[2]), P)
+    elif kind in _GENERATOR_EDGES:
+        P = emit(_GENERATOR_EDGES[kind](*edge[1:]), P)
     else:
         raise RuntimeError("unknown edge %r" % (kind,))
     return moves, P
@@ -313,7 +283,7 @@ def _expand_certificate(start, path):
         moves.extend(ms)
         ms, P = _canonicalization_moves(P)
         moves.extend(ms)
-        if _state_of(P) != child_state:
+        if canonical_form(P) != child_state:
             raise RuntimeError("certificate expansion diverged from the class path")
     return MoveCertificate(start, tuple(moves))
 
@@ -335,8 +305,6 @@ def _reconstruct_path(visited, goal):
 # Search drivers
 
 def _validate_config(start, cfg):
-    if cfg.priority is not None:
-        raise NotImplementedError("priority-guided search is not implemented")
     if cfg.move_regime not in ("strict", "extended"):
         raise ValueError("move_regime must be 'strict' or 'extended', got %r"
                          % (cfg.move_regime,))
@@ -344,6 +312,8 @@ def _validate_config(start, cfg):
         raise ValueError("strategy must be 'bfs' or 'iddfs', got %r" % (cfg.strategy,))
     if cfg.max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    if cfg.workers < 1:
+        raise ValueError("workers must be >= 1, got %r" % (cfg.workers,))
     if start.total_length() > cfg.max_total_length:
         raise ValueError(
             "max_total_length %d is below the start presentation's total length %d"
@@ -389,7 +359,7 @@ def _finish_found(start, visited, goal, stats):
 
 def _search_bfs(start, cfg, progress=None):
     L, D = cfg.max_total_length, cfg.max_depth
-    start_state = _state_of(start)
+    start_state = canonical_form(start)
     visited = {start_state: (None, None)}
     stats = SearchStats(visited=1, frontier_peak=1,
                         max_total_length=L, max_depth=D, depth_reached=0)
@@ -398,12 +368,13 @@ def _search_bfs(start, cfg, progress=None):
 
     frontier = [start_state]
     depth = 0
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while frontier and depth < D:
             depth += 1
             if pool is not None and len(frontier) > 64:
-                size = max(1, (len(frontier) + 4 * cfg.workers - 1) // (4 * cfg.workers))
+                size = max(1, (len(frontier) + 4 * workers - 1) // (4 * workers))
                 chunks = [frontier[k:k + size] for k in range(0, len(frontier), size)]
                 results = pool.map(_expand_chunk, chunks,
                                    itertools.repeat(L), itertools.repeat(cfg.move_regime))
@@ -442,7 +413,7 @@ def _search_bfs(start, cfg, progress=None):
 def _search_iddfs(start, cfg, progress=None):
     """Iterative deepening over the same class graph; sequential only."""
     L, D = cfg.max_total_length, cfg.max_depth
-    start_state = _state_of(start)
+    start_state = canonical_form(start)
     stats = SearchStats(visited=1, frontier_peak=1,
                         max_total_length=L, max_depth=D, depth_reached=0)
     if _is_trivial_state(start_state):

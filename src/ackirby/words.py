@@ -141,20 +141,14 @@ def cyclic_reduce(w):
 def substitute(w, target, replacement):
     """Replace every occurrence of generator `target` (and its inverse)
     in w by `replacement` (resp. its inverse), then reduce."""
+    # imported here because presentations imports this module
+    from ackirby.presentations import map_generators
     if target < 1:
         raise WordError("target generator index must be >= 1, got %r" % (target,))
-    replacement = Word(replacement)
-    rep = replacement.letters
-    rep_inv = replacement.inverse().letters
-    out = []
-    for v in Word(w):
-        if v == target:
-            out.extend(rep)
-        elif v == -target:
-            out.extend(rep_inv)
-        else:
-            out.append(v)
-    return Word(out)
+    (letters,) = map_generators((Word(w).letters,), {target: Word(replacement).letters})
+    out = Word.__new__(Word)
+    out._letters = letters
+    return out
 
 
 def exponent_sums(w, rank):

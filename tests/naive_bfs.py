@@ -3,8 +3,10 @@
 Deliberately shares no code with the package: its own repeated-scan
 reducer, its own brute-force canonicalization (minimum over every
 rotation of the cyclic core and of its inverse), its own successor
-loops, and a plain queue-based breadth-first walk.  Strict regime only:
-multiplications, stabilization, destabilization.
+loops, and a plain queue-based breadth-first walk.  The strict regime
+has multiplications, stabilization and destabilization; the extended
+regime adds the generator basis changes g_i -> g_i g_j^(+-1),
+g_i -> g_i^-1 and g_i <-> g_j, applied by its own substitution.
 
 States are classes of balanced presentations up to relator order,
 inversion and conjugation; a child is admissible when its canonical
@@ -77,7 +79,34 @@ def is_trivial_state(state):
     return list(rels) == [(k,) for k in range(1, rank + 1)]
 
 
-def naive_successors(state, max_len):
+def naive_substitute(seq, images):
+    """Replace each letter by the image of its generator (the inverse
+    image for an inverse letter), then reduce.  Generators missing from
+    `images` are fixed."""
+    out = []
+    for v in seq:
+        image = images.get(abs(v), (abs(v),))
+        out.extend(image if v > 0 else naive_invert(image))
+    return scan_reduce(out)
+
+
+def generator_maps(rank):
+    """Every generator basis change of the extended regime, as images."""
+    maps = []
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            if j != i:
+                maps.append({i: (i, j)})
+                maps.append({i: (i, -j)})
+    for i in range(1, rank + 1):
+        maps.append({i: (-i,)})
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            maps.append({i: (j,), j: (i,)})
+    return maps
+
+
+def naive_successors(state, max_len, regime="strict"):
     rank, rels = state
     total = sum(len(r) for r in rels)
     children = []
@@ -128,11 +157,18 @@ def naive_successors(state, max_len):
                     for v in rels[j]))
             children.append(naive_state(rank - 1, renumbered))
 
+    if regime == "extended":
+        for images in generator_maps(rank):
+            child = naive_state(rank, [naive_substitute(r, images) for r in rels])
+            if sum(len(r) for r in child[1]) <= max_len:
+                children.append(child)
+
     return children
 
 
-def naive_search(rank, relators, max_len, max_depth):
-    """Plain breadth-first walk; returns (status, visited_count).
+def naive_search(rank, relators, max_len, max_depth, regime="strict"):
+    """Plain breadth-first walk in the "strict" or "extended" regime;
+    returns (status, visited_count).
 
     status is "found" as soon as a trivial class is generated anywhere
     in a level, after that whole level has been added to the visited
@@ -152,7 +188,7 @@ def naive_search(rank, relators, max_len, max_depth):
         next_frontier = deque()
         hit = False
         for state in frontier:
-            for child in naive_successors(state, max_len):
+            for child in naive_successors(state, max_len, regime):
                 if child in seen:
                     continue
                 seen.add(child)

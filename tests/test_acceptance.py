@@ -162,7 +162,17 @@ def test_criterion_04_exhaustion_determinism():
         P.rank, [r.letters for r in P.relators], 13, 8)
     assert status == "exhausted"
     assert visited == runs[0].stats.visited
-    return ("visited=%d over 5 runs, 4 workers, and the naive enumerator"
+
+    # at L=16 the frontier passes 64 states, so the 2-worker run fans out
+    deep = [search(P, SearchConfig(max_total_length=16, max_depth=8, workers=w))
+            for w in (1, 2)]
+    for out in deep:
+        assert (out.status, out.stats.visited) == ("exhausted", 487)
+        assert out.stats.frontier_peak == 410
+    assert naive_search(P.rank, [r.letters for r in P.relators], 16, 8) \
+        == ("exhausted", 487)
+    return ("visited=%d over 5 runs, 4 workers, and the naive enumerator;"
+            " L=16: visited=487 at 1 and 2 workers and in the naive enumerator"
             % runs[0].stats.visited)
 
 

@@ -125,6 +125,13 @@ class TestSearchCommand:
     def test_missing_input_is_usage_error(self):
         assert run("search").returncode == 2
 
+    def test_zero_workers_is_input_error(self):
+        r = run("search", "--pres", "2; xY; y", "--max-len", "8", "--max-depth", "4",
+                "--workers", "0")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "workers must be >= 1" in r.stderr
+
     def test_byte_stable_output(self):
         args = ("search", "--family", "n=0",
                 "--max-len", "13", "--max-depth", "20")

@@ -15,7 +15,7 @@ from ackirby.presentations import (
     MultiplyByConjugate,
     abelianization_matrix,
     apply_move,
-    canonical_key,
+    canonical_form,
     is_trivial_presentation,
     parse_presentation,
     presentation_to_text,
@@ -62,7 +62,7 @@ class TestFamilyMembers:
     def test_matches_printed_presentation_up_to_class(self):
         mine = presentation_Ln1(2)
         printed = parse_presentation("2; yxyXYX; xxxYY")
-        assert canonical_key(mine) == canonical_key(printed)
+        assert canonical_form(mine) == canonical_form(printed)
         flipped = apply_move(mine, InvertRelator(1))
         r = flipped.relators[0].letters
         rotations = {r[k:] + r[:k] for k in range(len(r))}

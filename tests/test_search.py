@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -27,6 +28,9 @@ from ackirby.search import (
 )
 from ackirby.family import gersten_certificate, gersten_prefix_certificate, presentation_Ln1
 from ackirby.words import Word, parse_word
+
+# the package attribute `ackirby.search` is the search function
+search_module = importlib.import_module("ackirby.search")
 
 
 def P(text):
@@ -119,9 +123,16 @@ class TestSearchOutcomes:
         with pytest.raises(ValueError):
             search(presentation_Ln1(1), cfg(5, 4))
 
-    def test_priority_hook_reserved(self):
-        with pytest.raises(NotImplementedError):
-            search(P("1; x"), cfg(2, 1, priority=object()))
+    def test_extended_regime_n2_found(self):
+        out = search(presentation_Ln1(2), cfg(12, 6, move_regime="extended"))
+        assert (out.status, out.stats.visited) == ("found", 2676)
+        assert len(out.certificate.moves) == 51
+        assert verify(out.certificate).ok
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError):
+                search(P("1; x"), cfg(2, 1, workers=workers))
 
     def test_invalid_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +162,32 @@ class TestDeterminism:
         assert seq.status == par.status == "exhausted"
         assert seq.stats.visited == par.stats.visited
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes, maps = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                maps.append(fn)
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", InProcessPool)
+        # level 4 has 129 states, above the fan-out threshold of 64
+        start = presentation_Ln1(2)
+        for cpus, want in ((2, [2]), (None, [])):
+            sizes.clear()
+            maps.clear()
+            monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+            out = search(start, cfg(12, 5, move_regime="extended", workers=10**6))
+            assert sizes == want
+            assert bool(maps) == bool(want)
+            assert (out.status, out.stats.visited) == ("exhausted", 712)
+
     def test_iddfs_agrees_with_bfs(self):
         for start, L, D in ((presentation_Ln1(0), 13, 20),
                             (presentation_Ln1(2), 12, 4),
@@ -170,13 +207,15 @@ class TestDeterminism:
         assert search(start, cfg(13, 21)).found
 
     def test_naive_enumerator_agreement(self):
-        cases = [(0, 13, 20), (0, 15, 20), (2, 12, 4), (3, 13, 8), (3, 15, 8)]
-        for n, L, D in cases:
+        cases = [(0, 13, 20, "strict"), (0, 15, 20, "strict"), (2, 12, 4, "strict"),
+                 (3, 13, 8, "strict"), (3, 15, 8, "strict"),
+                 (0, 13, 6, "extended"), (2, 12, 5, "extended"), (3, 14, 6, "extended")]
+        for n, L, D, regime in cases:
             start = presentation_Ln1(n)
             rels = [r.letters for r in start.relators]
-            out = search(start, cfg(L, D))
-            status, visited = naive_search(2, rels, L, D)
-            assert (out.status, out.stats.visited) == (status, visited)
+            out = search(start, cfg(L, D, move_regime=regime))
+            status, visited = naive_search(2, rels, L, D, regime)
+            assert (out.status, out.stats.visited) == (status, visited), (n, L, D, regime)
 
     def test_progress_callback_observes_levels(self):
         seen = []

@@ -1,9 +1,13 @@
 """Selects the word kernel at import time.
 
-The compiled kernel (`_kernel_c`, built from the Cython-generated
+The compiled kernel (`_kernel_c`, built from the hand-written
 `_kernel_c.c`) is preferred; the pure-Python twin (`_kernel_py`) is the
 fallback.  Set ACKIRBY_PURE=1 to force the fallback, e.g. to compare
 results or benchmark.
+
+Both kernels apply the search's length budget inside
+`expand_multiply(ci, cj, max_len)`: a product whose cyclically reduced
+core is longer than max_len is dropped before it is canonicalized.
 """
 
 import os

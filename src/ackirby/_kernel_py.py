@@ -11,6 +11,8 @@ letter order is integer order and the inverse of key k is k ^ 1.  A word
 is encoded once into a tuple of keys; seam cancellation, the cyclic split
 and the comparison of rotations then run on key tuples with native tuple
 order, and only the result is decoded back into letters.
+`expand_multiply` drops a product longer than its `max_len` budget right
+after the cyclic split, before any rotation is built or compared.
 """
 
 
@@ -107,9 +109,9 @@ def canonical_relator(w):
     return canonical_rotation(cyclic_split(w)[1])
 
 
-def expand_multiply(ci, cj):
+def expand_multiply(ci, cj, max_len=None):
     """All canonical products of a rotation of ci with a rotation of
-    cj or of cj^-1.
+    cj or of cj^-1, up to max_len letters (None: no limit).
 
     Both inputs must be canonical relators.  Returns a dict mapping each
     distinct child canonical relator to its first witness (p, eps, q):
@@ -117,11 +119,16 @@ def expand_multiply(ci, cj):
     by q, multiply on the right.  Witness order: p, then eps (+1 first),
     then q.
 
-    Every product is cancelled at the seam, cyclically split and
-    canonicalized on key tuples; each distinct child is decoded once.
+    Every product is cancelled at the seam and cyclically split on key
+    tuples.  A product whose core is longer than max_len is dropped there,
+    before it is canonicalized; since a child's length is its own, this
+    is the unbounded dict filtered to children of at most max_len letters.
+    The rest are canonicalized on key tuples; each distinct child is
+    decoded once.
     """
     a, b = _encode(ci), _encode(cj)
     ni, nj = len(a), len(b)
+    limit = ni + nj if max_len is None else max_len
     m = ni if ni < nj else nj
     b_inv = tuple([k ^ 1 for k in reversed(b)])
     rots_a = [a[p:] + a[:p] for p in range(ni or 1)]
@@ -139,6 +146,8 @@ def expand_multiply(ci, cj):
                 while i < j and w[i] == w[j] ^ 1:
                     i += 1
                     j -= 1
+                if j - i + 1 > limit:
+                    continue
                 child = _least_rotation(w[i:j + 1]) if i <= j else ()
                 if child not in res:
                     res[child] = (p, eps, q)

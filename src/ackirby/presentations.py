@@ -236,7 +236,7 @@ def apply_move(P, move):
         return Presentation(n + 1, rels + [Word((n + 1,))])
 
     rank, letters = generator_move(n, tuple(r.letters for r in rels), move)
-    return Presentation(rank, letters)
+    return Presentation(rank, [Word._from_reduced(r) for r in letters])
 
 
 def map_generators(relators, images):

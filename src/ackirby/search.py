@@ -11,7 +11,9 @@ into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
 The multiplication and stabilization edges are built here (the
-products by `_kernel.expand_multiply`); destabilization and the
+products by `_kernel.expand_multiply`, which also drops every product
+longer than the relator's share of max_total_length before it
+canonicalizes it); destabilization and the
 generator basis changes are presentations.generator_move, the same
 definition apply_move replays, so a class edge and its atomic moves
 cannot drift apart.
@@ -160,16 +162,15 @@ def _successors(state, max_len, regime):
     out = []
 
     # multiplications: replace relator i by a product with a rotated
-    # (possibly inverted) copy of relator j
+    # (possibly inverted) copy of relator j; the kernel keeps only the
+    # products within relator i's share of the length budget
     for i in range(1, rank + 1):
         ci = rels[i - 1]
         budget = max_len - (total - len(ci))
         for j in range(1, rank + 1):
             if j == i or not rels[j - 1]:
                 continue
-            for child_rel, (p, eps, q) in _kernel.expand_multiply(ci, rels[j - 1]).items():
-                if len(child_rel) > budget:
-                    continue
+            for child_rel, (p, eps, q) in _kernel.expand_multiply(ci, rels[j - 1], budget).items():
                 new_rels = list(rels)
                 new_rels[i - 1] = child_rel
                 new_rels.sort(key=_relator_sort_key)

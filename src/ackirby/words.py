@@ -13,7 +13,8 @@ escaped form for any index (g1, g2, ...).  Whitespace is ignored.
 from ackirby import _kernel
 
 # The compiled kernel holds letters and their letter_key (2 * index - 1
-# at most) in C ints; 2**30 is the largest index whose key still fits.
+# at most) in C longs, which are 32 bits on some platforms; 2**30 is the
+# largest index whose key still fits, and that kernel rejects larger ones.
 MAX_GENERATOR = 2**30
 
 _XYZ = "xyz"
@@ -44,6 +45,14 @@ class Word:
         _check_letters(letters)
         self._letters = _kernel.reduce_word(letters)
 
+    @classmethod
+    def _from_reduced(cls, letters):
+        """Trusted constructor: a Word of a tuple of letters that is
+        already freely reduced and in range; nothing is checked."""
+        out = cls.__new__(cls)
+        out._letters = letters
+        return out
+
     @property
     def letters(self):
         return self._letters
@@ -72,24 +81,19 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        out = Word.__new__(Word)
-        out._letters = _kernel.reduce_concat(self._letters, other._letters)
-        return out
+        return Word._from_reduced(_kernel.reduce_concat(self._letters, other._letters))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        out = Word.__new__(Word)
-        out._letters = ()
+        out = Word._from_reduced(())
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def inverse(self):
-        out = Word.__new__(Word)
-        out._letters = _kernel.invert_word(self._letters)
-        return out
+        return Word._from_reduced(_kernel.invert_word(self._letters))
 
     def max_generator(self):
         """Largest generator index mentioned (0 for the empty word)."""
@@ -131,11 +135,7 @@ def cyclic_reduce(w):
     ('x', 'xy')
     """
     conj, core = _kernel.cyclic_split(Word(w).letters)
-    a = Word.__new__(Word)
-    a._letters = conj
-    b = Word.__new__(Word)
-    b._letters = core
-    return a, b
+    return Word._from_reduced(conj), Word._from_reduced(core)
 
 
 def substitute(w, target, replacement):
@@ -146,9 +146,7 @@ def substitute(w, target, replacement):
     if target < 1:
         raise WordError("target generator index must be >= 1, got %r" % (target,))
     (letters,) = map_generators((Word(w).letters,), {target: Word(replacement).letters})
-    out = Word.__new__(Word)
-    out._letters = letters
-    return out
+    return Word._from_reduced(letters)
 
 
 def exponent_sums(w, rank):

@@ -2,14 +2,15 @@
 
 The compiled kernel is optional and a source checkout does not contain
 it, so these tests build it: `setup.py build` compiles `_kernel_c` from
-the shipped `_kernel_c.c` into a complete package in a temporary
-directory.  The function tests load that `_kernel_c` without registering
-it in `sys.modules`, so the rest of the suite keeps the kernel it
-selected; the selection and whole-search tests run fresh interpreters on
-the built package.
+the hand-written `_kernel_c.c` into a complete package in a temporary
+directory, with `-Wall`, and any compiler warning fails the build.  The
+function tests load that `_kernel_c` without registering it in
+`sys.modules`, so the rest of the suite keeps the kernel it selected;
+the selection and whole-search tests run fresh interpreters on the
+built package.  The budget tests at the end need no compiler: they run
+on whichever kernel `ackirby._kernel` selected.
 """
 
-import hashlib
 import importlib.util
 import os
 import re
@@ -24,17 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ackirby import _kernel
 from ackirby import _kernel_py as pk
 from ackirby.words import MAX_GENERATOR
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL_SRC = ROOT / "src" / "ackirby"
 KERNEL_SO = "_kernel_c" + sysconfig.get_config_var("EXT_SUFFIX")
-
-# sha256 of the _kernel_c.pyx that the shipped _kernel_c.c was generated
-# from.  After editing the .pyx, regenerate the .c with Cython and record
-# the new hash here.
-PYX_SHA256 = "53edfc7b0b469ce0c8595f9ba5c2fbe89f21991fb66c40f3ce979f5b31468a53"
 
 
 def _can_compile():
@@ -61,20 +57,28 @@ def canonical_words(max_size=10):
         lambda ls: pk.canonical_relator(tuple(ls)))
 
 
+budgets = st.one_of(st.none(), st.integers(min_value=0, max_value=20))
+
+
 @pytest.fixture(scope="session")
 def built_tree(tmp_path_factory):
     """Directory holding an `ackirby` package with `_kernel_c` compiled
-    by `setup.py build`; the build leaves nothing in the checkout."""
+    by `setup.py build` with `-Wall`; the compiler must print no warning,
+    and the build leaves nothing in the checkout."""
     out = tmp_path_factory.mktemp("ackirby-build")
     proc = subprocess.run(
         [sys.executable, "setup.py", "-q",
          "egg_info", "--egg-base", str(out),
          "build", "--build-base", str(out / "build"),
          "--build-lib", str(out / "lib")],
-        cwd=ROOT, capture_output=True, text=True, timeout=600)
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, CFLAGS="-Wall"))
     lib = out / "lib"
+    log = proc.stdout + proc.stderr
     assert proc.returncode == 0 and (lib / "ackirby" / KERNEL_SO).exists(), \
-        "building _kernel_c failed:\n" + proc.stdout + proc.stderr
+        "building _kernel_c failed:\n" + log
+    warnings = re.findall(r"^\S+: warning: .*$", log, re.MULTILINE)
+    assert not warnings, "compiling _kernel_c warned:\n" + "\n".join(warnings)
     return lib
 
 
@@ -99,30 +103,6 @@ def run_py(code, pure, tree):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     return out.stdout
-
-
-def test_shipped_c_is_generated_from_pyx():
-    """The shipped `_kernel_c.c` is what gets built, so it must come from
-    the current `_kernel_c.pyx`."""
-    pyx = (KERNEL_SRC / "_kernel_c.pyx").read_bytes()
-    assert hashlib.sha256(pyx).hexdigest() == PYX_SHA256, \
-        "_kernel_c.pyx changed: regenerate _kernel_c.c and update PYX_SHA256"
-    # Cython quotes the source lines around each statement it compiles;
-    # every quoted line must still read the same in the .pyx.
-    lines = pyx.decode().splitlines()
-    marker = "             # <<<<<<<<<<<<<<"
-    c_src = (KERNEL_SRC / "_kernel_c.c").read_text()
-    quotes = re.findall(
-        r'/\* "ackirby/_kernel_c\.pyx":(\d+)\n((?: \*.*\n)*)\s*\*/', c_src)
-    assert quotes
-    for lineno, body in quotes:
-        quoted = [ln[3:] for ln in body.splitlines()]
-        at = next(k for k, ln in enumerate(quoted) if ln.endswith(marker))
-        quoted[at] = quoted[at][:-len(marker)]
-        for k, text in enumerate(quoted):
-            src_line = int(lineno) + k - at
-            assert text.rstrip() == lines[src_line - 1].rstrip(), \
-                "_kernel_c.c quotes line %d of an older _kernel_c.pyx" % src_line
 
 
 @needs_compiler
@@ -193,6 +173,29 @@ class TestFunctionParity:
         want, got = pk.expand_multiply(ci, cj), ck.expand_multiply(ci, cj)
         assert list(want.items()) == list(got.items())
 
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_words(8), canonical_words(8), budgets)
+    def test_expand_multiply_budget(self, ck, ci, cj, b):
+        want, got = pk.expand_multiply(ci, cj, b), ck.expand_multiply(ci, cj, b)
+        assert list(want.items()) == list(got.items())
+
+
+@needs_compiler
+def test_compiled_kernel_rejects_out_of_range_letters(ck):
+    """The compiled kernel holds letter keys in 32 bits, so a letter
+    beyond MAX_GENERATOR raises instead of wrapping."""
+    calls = (ck.letter_key, lambda v: ck.canonical_relator((v, 1)),
+             lambda v: ck.expand_multiply((v,), (1,)),
+             lambda v: ck.expand_multiply((1,), (1, v)))
+    for call in calls:
+        for v in (MAX_GENERATOR + 1, -MAX_GENERATOR - 1, 2**70):
+            with pytest.raises(OverflowError):
+                call(v)
+    for v in (MAX_GENERATOR, -MAX_GENERATOR):
+        assert ck.letter_key(v) == pk.letter_key(v)
+        assert ck.canonical_relator((v, 1)) == pk.canonical_relator((v, 1))
+        assert ck.expand_multiply((v,), (1,)) == pk.expand_multiply((v,), (1,))
+
 
 SEARCH_SNIPPET = """
 import json
@@ -214,3 +217,19 @@ class TestWholeSearchParity:
         py_backend, py_out = run_py(code, pure=True, tree=built_tree).split("\n", 1)
         assert (c_backend, py_backend) == ("c", "python")
         assert c_out == py_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_words(8), canonical_words(8), st.integers(min_value=0, max_value=20))
+def test_budget_filters_unbounded_products(ci, cj, b):
+    """A budget drops exactly the children longer than it, and keeps the
+    witnesses and order of the rest."""
+    full = _kernel.expand_multiply(ci, cj)
+    want = [(k, v) for k, v in full.items() if len(k) <= b]
+    assert list(_kernel.expand_multiply(ci, cj, b).items()) == want
+    assert _kernel.expand_multiply(ci, cj, None) == full
+
+
+def test_budget_zero_keeps_empty_child():
+    assert list(_kernel.expand_multiply((1,), (1,), 0).items()) == [((), (0, -1, 0))]
+    assert _kernel.expand_multiply((1, 2), (1,), 0) == {}

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ackirby import _kernel
 from ackirby._intdet import integer_determinant
 from ackirby.presentations import (
     Composite,
@@ -137,6 +138,21 @@ class TestApplyMove:
     def test_nielsen_negative_sign(self):
         Q = apply_move(P("2; x; y"), NielsenGenerator(1, 2, -1))
         assert Q == P("2; xY; y")
+
+    def test_generator_move_reduces_each_relator_once(self, monkeypatch):
+        start = P("3; xyX; yxY; zzx")
+        calls = []
+        reduce_word = _kernel.reduce_word
+
+        def counted(letters):
+            calls.append(letters)
+            return reduce_word(letters)
+
+        monkeypatch.setattr(_kernel, "reduce_word", counted)
+        Q = apply_move(start, NielsenGenerator(1, 3, -1))
+        reduced = [reduce_word(letters) for letters in calls]
+        assert len(reduced) == 3
+        assert [r.letters for r in Q.relators] == reduced
 
     def test_invert_generator(self):
         assert apply_move(P("2; xy; x"), InvertGenerator(1)) == P("2; Xy; X")

@@ -57,9 +57,6 @@ def canonical_words(max_size=10):
         lambda ls: pk.canonical_relator(tuple(ls)))
 
 
-budgets = st.one_of(st.none(), st.integers(min_value=0, max_value=20))
-
-
 @pytest.fixture(scope="session")
 def built_tree(tmp_path_factory):
     """Directory holding an `ackirby` package with `_kernel_c` compiled
@@ -174,7 +171,8 @@ class TestFunctionParity:
         assert list(want.items()) == list(got.items())
 
     @settings(max_examples=300, deadline=None)
-    @given(canonical_words(8), canonical_words(8), budgets)
+    @given(canonical_words(8), canonical_words(8),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=20)))
     def test_expand_multiply_budget(self, ck, ci, cj, b):
         want, got = pk.expand_multiply(ci, cj, b), ck.expand_multiply(ci, cj, b)
         assert list(want.items()) == list(got.items())

@@ -8,6 +8,7 @@ results or benchmark.
 Both kernels apply the search's length budget inside
 `expand_multiply(ci, cj, max_len)`: a product whose cyclically reduced
 core is longer than max_len is dropped before it is canonicalized.
+Both define the canonical relator order in `sort_relators`.
 """
 
 import os
@@ -30,4 +31,5 @@ invert_word = _impl.invert_word
 cyclic_split = _impl.cyclic_split
 canonical_rotation = _impl.canonical_rotation
 canonical_relator = _impl.canonical_relator
+sort_relators = _impl.sort_relators
 expand_multiply = _impl.expand_multiply

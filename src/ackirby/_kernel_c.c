@@ -10,7 +10,9 @@
  *
  * The canonicalizing functions work in key space, as _kernel_py does: the
  * key of a letter is its letter_key, so the canonical letter order is
- * integer order and the inverse of key k is k ^ 1.
+ * integer order and the inverse of key k is k ^ 1.  sort_relators is the
+ * one definition of the canonical relator order (length, then keys); it
+ * compares key buffers and boxes nothing but its result tuple.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -307,6 +309,73 @@ canonical_relator(PyObject *self, PyObject *word)
     return out;
 }
 
+/* A relator being sorted: the object itself and its letter keys. */
+typedef struct {
+    PyObject *obj;
+    long *keys;
+    Py_ssize_t len;
+} relator_entry;
+
+/* Whether relator a sorts before relator b: shorter first, then by keys. */
+static int
+relator_less(const relator_entry *a, const relator_entry *b)
+{
+    if (a->len != b->len)
+        return a->len < b->len;
+    return keys_less(a->keys, b->keys, a->len);
+}
+
+PyDoc_STRVAR(sort_relators_doc,
+"sort_relators(rels)\n--\n\n"
+"The given relators as a tuple in canonical order: by length, then\n"
+"letter by letter in letter_key order.  The sort is stable.");
+
+static PyObject *
+sort_relators(PyObject *self, PyObject *rels)
+{
+    PyObject *fast = PySequence_Fast(rels, "relators must be a sequence of words");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), loaded = 0;
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    PyObject *out = NULL;
+    relator_entry *e = PyMem_New(relator_entry, n + 1);
+    if (e == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; loaded < n; loaded++) {
+        e[loaded].obj = items[loaded];
+        e[loaded].keys = load_word(items[loaded], &e[loaded].len, 0, 1);
+        if (e[loaded].keys == NULL)
+            goto done;
+    }
+    /* insertion sort: n is the rank, and moving only past strictly greater
+     * entries keeps it stable */
+    for (Py_ssize_t i = 1; i < n; i++) {
+        relator_entry cur = e[i];
+        Py_ssize_t j = i;
+        for (; j > 0 && relator_less(&cur, &e[j - 1]); j--)
+            e[j] = e[j - 1];
+        e[j] = cur;
+    }
+    out = PyTuple_New(n);
+    if (out == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_INCREF(e[i].obj);
+        PyTuple_SET_ITEM(out, i, e[i].obj);
+    }
+done:
+    if (e != NULL) {
+        for (Py_ssize_t i = 0; i < loaded; i++)
+            PyMem_Free(e[i].keys);
+        PyMem_Free(e);
+    }
+    Py_DECREF(fast);
+    return out;
+}
+
 /* Witness-ordered canonical products of rotations of the ni keys at a with
  * rotations of the nj keys at b or of their inverse, into the dict res.
  * Products whose core is longer than limit are skipped. */
@@ -413,6 +482,7 @@ static PyMethodDef kernel_methods[] = {
     {"cyclic_split", cyclic_split, METH_O, cyclic_split_doc},
     {"canonical_rotation", canonical_rotation, METH_O, canonical_rotation_doc},
     {"canonical_relator", canonical_relator, METH_O, canonical_relator_doc},
+    {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
     {NULL, NULL, 0, NULL},

@@ -13,6 +13,9 @@ and the comparison of rotations then run on key tuples with native tuple
 order, and only the result is decoded back into letters.
 `expand_multiply` drops a product longer than its `max_len` budget right
 after the cyclic split, before any rotation is built or compared.
+
+`sort_relators` is the one definition of the canonical relator order:
+by length, then letter by letter in `letter_key` order.
 """
 
 
@@ -107,6 +110,20 @@ def canonical_rotation(core):
 def canonical_relator(w):
     """Canonical form of a relator up to conjugation and inversion."""
     return canonical_rotation(cyclic_split(w)[1])
+
+
+def _relator_key(w):
+    return len(w), _encode(w)
+
+
+def sort_relators(rels):
+    """The given relators as a tuple in canonical order: by length, then
+    letter by letter in letter_key order.  The sort is stable.
+
+    >>> sort_relators([(2,), (1, 2), (-1,), (1,)])
+    ((1,), (-1,), (2,), (1, 2))
+    """
+    return tuple(sorted(rels, key=_relator_key))
 
 
 def expand_multiply(ci, cj, max_len=None):

@@ -594,6 +594,12 @@ def main(argv=None):
                  if getattr(args, n, None) is not None]
         if len(given) != 1:
             parser.error("search needs exactly one of --pres, --in, --family")
+    if args.subcommand == "search" or (args.subcommand == "family" and args.op == "report"):
+        for flag, least in (("workers", 1), ("max_depth", 0), ("capacity", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                parser.error("--%s must be >= %d, got %d"
+                             % (flag.replace("_", "-"), least, value))
     try:
         return args.handler(args)
     except (WordError, MoveError, KirbyError, CurveError, ValueError,

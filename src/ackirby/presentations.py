@@ -356,17 +356,13 @@ def inverse_move(move, context):
 # ---------------------------------------------------------------------------
 # Canonical forms
 
-def _relator_sort_key(t):
-    return (len(t), tuple(_kernel.letter_key(v) for v in t))
-
-
 def canonical_form(P):
     """Canonical form: each relator cyclically reduced and rotated (or
-    inverted) to its minimal form, relators sorted.  Presentations in
-    the same relator-permutation/inversion/conjugation class share it."""
-    rels = sorted((_kernel.canonical_relator(r.letters) for r in P.relators),
-                  key=_relator_sort_key)
-    return (P.rank, tuple(rels))
+    inverted) to its minimal form, relators sorted by
+    `_kernel.sort_relators`.  Presentations in the same
+    relator-permutation/inversion/conjugation class share it."""
+    return (P.rank, _kernel.sort_relators(
+        [_kernel.canonical_relator(r.letters) for r in P.relators]))
 
 
 def canonical_presentation(P):
@@ -377,6 +373,11 @@ def canonical_presentation(P):
 
 def _is_trivial_state(state):
     rank, rels = state
+    # every trivial relator has length 1, and canonical order puts the
+    # longest relator last, so most states are rejected without building
+    # the trivial one
+    if rels and len(rels[-1]) != 1:
+        return False
     return rels == tuple((k,) for k in range(1, rank + 1))
 
 

@@ -51,7 +51,6 @@ from ackirby.presentations import (
     presentation_from_dict,
     presentation_to_dict,
     _is_trivial_state,
-    _relator_sort_key,
 )
 
 
@@ -159,6 +158,7 @@ def _successors(state, max_len, regime):
     deterministic enumeration order."""
     rank, rels = state
     total = _state_total(state)
+    sort_relators = _kernel.sort_relators
     out = []
 
     # multiplications: replace relator i by a product with a rotated
@@ -166,22 +166,18 @@ def _successors(state, max_len, regime):
     # products within relator i's share of the length budget
     for i in range(1, rank + 1):
         ci = rels[i - 1]
+        head, tail = rels[:i - 1], rels[i:]
         budget = max_len - (total - len(ci))
         for j in range(1, rank + 1):
             if j == i or not rels[j - 1]:
                 continue
             for child_rel, (p, eps, q) in _kernel.expand_multiply(ci, rels[j - 1], budget).items():
-                new_rels = list(rels)
-                new_rels[i - 1] = child_rel
-                new_rels.sort(key=_relator_sort_key)
-                out.append((("mul", i, j, p, eps, q), (rank, tuple(new_rels))))
+                out.append((("mul", i, j, p, eps, q),
+                            (rank, sort_relators(head + (child_rel,) + tail))))
 
     # stabilize
     if total + 1 <= max_len:
-        new_rels = list(rels)
-        new_rels.append((rank + 1,))
-        new_rels.sort(key=_relator_sort_key)
-        out.append((("stab",), (rank + 1, tuple(new_rels))))
+        out.append((("stab",), (rank + 1, sort_relators(rels + ((rank + 1,),)))))
 
     # destabilize relator i when it is a single letter; generator_move
     # rejects the move when that generator occurs in another relator.
@@ -197,8 +193,7 @@ def _successors(state, max_len, regime):
     if regime == "extended":
         for edge, move in _basis_change_edges(rank):
             _, mapped = generator_move(rank, rels, move)
-            child = (rank, tuple(sorted(map(_kernel.canonical_relator, mapped),
-                                        key=_relator_sort_key)))
+            child = (rank, sort_relators(map(_kernel.canonical_relator, mapped)))
             # only a Nielsen move can lengthen the presentation
             if _state_total(child) <= max_len:
                 out.append((edge, child))
@@ -207,10 +202,8 @@ def _successors(state, max_len, regime):
 
 
 def _expand_chunk(states, max_len, regime):
-    """Worker task: expand a chunk of frontier states."""
-    return [(state, edge, child)
-            for state in states
-            for edge, child in _successors(state, max_len, regime)]
+    """Worker task: the successor list of each state of a frontier chunk."""
+    return [_successors(state, max_len, regime) for state in states]
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +232,12 @@ def _canonicalization_moves(P):
             r = P.relators[i - 1].letters
         while P.relators[i - 1].letters != target:
             P = emit(ConjugateRelator(i, -P.relators[i - 1].letters[0]), P)
-    # sort relators by the canonical order
+    # sort relators by the canonical order; relators pos.. always hold
+    # target[pos - 1:], so the first match is the first least relator
+    target = _kernel.sort_relators([r.letters for r in P.relators])
     for pos in range(1, P.rank + 1):
-        best = min(range(pos, P.rank + 1),
-                   key=lambda t: _relator_sort_key(P.relators[t - 1].letters))
+        best = next(t for t in range(pos, P.rank + 1)
+                    if P.relators[t - 1].letters == target[pos - 1])
         if best != pos:
             P = emit(SwapRelators(pos, best), P)
     return moves, P
@@ -385,13 +380,14 @@ def _search_bfs(start, cfg, progress=None):
 
             found = None
             new_states = []
-            for parent, edge, child in expansion:
-                if child in visited:
-                    continue
-                visited[child] = (parent, edge)
-                new_states.append(child)
-                if found is None and _is_trivial_state(child):
-                    found = child
+            for parent, successors in zip(frontier, expansion):
+                for edge, child in successors:
+                    if child in visited:
+                        continue
+                    visited[child] = (parent, edge)
+                    new_states.append(child)
+                    if found is None and _is_trivial_state(child):
+                        found = child
 
             stats.visited = len(visited)
             stats.frontier_peak = max(stats.frontier_peak, len(new_states))

@@ -7,8 +7,8 @@ directory, with `-Wall`, and any compiler warning fails the build.  The
 function tests load that `_kernel_c` without registering it in
 `sys.modules`, so the rest of the suite keeps the kernel it selected;
 the selection and whole-search tests run fresh interpreters on the
-built package.  The budget tests at the end need no compiler: they run
-on whichever kernel `ackirby._kernel` selected.
+built package.  The budget and relator-order tests at the end need no
+compiler: they run on whichever kernel `ackirby._kernel` selected.
 """
 
 import importlib.util
@@ -55,6 +55,19 @@ raw_words = st.lists(letters, max_size=24).map(tuple)
 def canonical_words(max_size=10):
     return st.lists(letters, max_size=max_size).map(
         lambda ls: pk.canonical_relator(tuple(ls)))
+
+
+# 0-4 relators drawn from a pool of raw words, so duplicates are common;
+# each is a fresh tuple, so a stable sort is told apart by identity
+relator_lists = st.lists(raw_words, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=4)).map(
+    lambda ws: [tuple(list(w)) for w in ws])
+
+
+def reference_relator_key(w):
+    """The canonical relator order, written out: length, then letter by
+    letter with g1 < g1^-1 < g2 < g2^-1 < ..."""
+    return len(w), [(abs(v), v < 0) for v in w]
 
 
 @pytest.fixture(scope="session")
@@ -164,6 +177,13 @@ class TestFunctionParity:
     def test_canonical_relator(self, ck, w):
         assert pk.canonical_relator(w) == ck.canonical_relator(w)
 
+    @settings(max_examples=300, deadline=None)
+    @given(relator_lists)
+    def test_sort_relators(self, ck, rels):
+        want, got = pk.sort_relators(rels), ck.sort_relators(rels)
+        assert type(got) is tuple
+        assert [id(r) for r in want] == [id(r) for r in got]
+
     @settings(max_examples=150, deadline=None)
     @given(canonical_words(8), canonical_words(8))
     def test_expand_multiply(self, ck, ci, cj):
@@ -184,7 +204,8 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
     beyond MAX_GENERATOR raises instead of wrapping."""
     calls = (ck.letter_key, lambda v: ck.canonical_relator((v, 1)),
              lambda v: ck.expand_multiply((v,), (1,)),
-             lambda v: ck.expand_multiply((1,), (1, v)))
+             lambda v: ck.expand_multiply((1,), (1, v)),
+             lambda v: ck.sort_relators([(1,), (1, v)]))
     for call in calls:
         for v in (MAX_GENERATOR + 1, -MAX_GENERATOR - 1, 2**70):
             with pytest.raises(OverflowError):
@@ -193,6 +214,20 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
         assert ck.letter_key(v) == pk.letter_key(v)
         assert ck.canonical_relator((v, 1)) == pk.canonical_relator((v, 1))
         assert ck.expand_multiply((v,), (1,)) == pk.expand_multiply((v,), (1,))
+        rels = [(1, v), (v,), (1,), (v, 1)]
+        assert ck.sort_relators(rels) == pk.sort_relators(rels)
+
+
+def _public_functions(module):
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_") and callable(value))
+
+
+@needs_compiler
+def test_kernels_expose_same_functions(ck):
+    """A function added to one kernel but not the other, or not
+    re-exported by the selecting module, fails here."""
+    assert _public_functions(ck) == _public_functions(pk) == _public_functions(_kernel)
 
 
 SEARCH_SNIPPET = """
@@ -226,6 +261,17 @@ def test_budget_filters_unbounded_products(ci, cj, b):
     want = [(k, v) for k, v in full.items() if len(k) <= b]
     assert list(_kernel.expand_multiply(ci, cj, b).items()) == want
     assert _kernel.expand_multiply(ci, cj, None) == full
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_lists)
+def test_sort_relators_matches_reference(rels):
+    """The selected kernel's relator order is the written-out one, and the
+    sort is stable and returns the objects it was given."""
+    got = _kernel.sort_relators(rels)
+    want = tuple(sorted(rels, key=reference_relator_key))
+    assert type(got) is tuple
+    assert [id(r) for r in got] == [id(r) for r in want]
 
 
 def test_budget_zero_keeps_empty_child():

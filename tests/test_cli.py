@@ -125,12 +125,22 @@ class TestSearchCommand:
     def test_missing_input_is_usage_error(self):
         assert run("search").returncode == 2
 
-    def test_zero_workers_is_input_error(self):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),
+        ("--capacity", "0", "--capacity must be >= 1, got 0"),
+    ], ids=("workers", "max_depth", "capacity"))
+    def test_out_of_range_flag_is_usage_error(self, flag, value, message):
         r = run("search", "--pres", "2; xY; y", "--max-len", "8", "--max-depth", "4",
-                "--workers", "0")
-        assert r.returncode == 1
+                flag, value)
+        assert r.returncode == 2
         assert r.stdout == ""
-        assert "workers must be >= 1" in r.stderr
+        assert message in r.stderr
+
+    def test_zero_depth_is_in_range(self):
+        r = run("search", "--pres", "2; xY; y", "--max-len", "8", "--max-depth", "0")
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["outcome"]["status"] == "exhausted"
 
     def test_byte_stable_output(self):
         args = ("search", "--family", "n=0",
@@ -242,6 +252,16 @@ class TestFamilyCommands:
             "n=2 total=11 det=1 status=found visited=1255",
             "n=3 total=13 det=1 status=exhausted visited=55",
         ]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),
+    ], ids=("workers", "max_depth"))
+    def test_report_out_of_range_flag_is_usage_error(self, flag, value, message):
+        r = run("family", "report", "--n-max", "0", "--max-len", "8", flag, value)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert message in r.stderr
 
     def test_gersten_prefix_only(self, tmp_path):
         f = tmp_path / "prefix.json"

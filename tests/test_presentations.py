@@ -32,6 +32,7 @@ from ackirby.presentations import (
     presentation_to_dict,
     presentation_to_text,
     total_length,
+    _is_trivial_state,
 )
 from ackirby.words import Word, parse_word
 
@@ -289,6 +290,23 @@ class TestPredicatesAndMatrix:
 
     def test_repeated_generator_not_trivial(self):
         assert not is_trivial_presentation(P("2; x; x"))
+
+    @pytest.mark.parametrize("state, trivial", [
+        ((0, ()), True),
+        ((1, ((1,),)), True),
+        ((2, ((1,), (2,))), True),
+        ((3, ((1,), (2,), (3,))), True),
+        ((0, ((1,),)), False),
+        ((1, ()), False),
+        ((1, ((),)), False),
+        ((2, ((), (1,))), False),
+        ((3, ((1,), (2,))), False),
+        ((2, ((1,), (1,))), False),
+        ((3, ((1,), (-2,), (3,))), False),
+        ((2, ((1,), (1, 2))), False),
+    ])
+    def test_trivial_state_truth_table(self, state, trivial):
+        assert _is_trivial_state(state) is trivial
 
     def test_abelianization_family(self):
         A = abelianization_matrix(P("2; YXYxyx; xxxxYYY"))

@@ -10,6 +10,7 @@ invalid input; 2 usage error; 3 inconclusive search.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -143,16 +144,9 @@ def _load_presentation(args):
 
 
 def _resolve_budget(args, start_total):
-    max_len = args.max_len
-    if max_len is None and os.environ.get(ENV_MAX_LEN):
-        max_len = int(os.environ[ENV_MAX_LEN])
-    if max_len is None:
-        max_len = start_total + 6
-    max_depth = args.max_depth
-    if max_depth is None and os.environ.get(ENV_MAX_DEPTH):
-        max_depth = int(os.environ[ENV_MAX_DEPTH])
-    if max_depth is None:
-        max_depth = 24
+    """Budget defaults; main has already read the environment."""
+    max_len = args.max_len if args.max_len is not None else start_total + 6
+    max_depth = args.max_depth if args.max_depth is not None else 24
     return max_len, max_depth
 
 
@@ -264,7 +258,6 @@ def _build_config(args, start_total):
         move_regime=args.regime,
         dedup_capacity=args.capacity,
         workers=args.workers,
-        strategy=args.strategy,
     )
 
 
@@ -280,15 +273,7 @@ def _progress_printer(enabled):
 
 
 def _config_doc(cfg, seed):
-    return {
-        "max_total_length": cfg.max_total_length,
-        "max_depth": cfg.max_depth,
-        "move_regime": cfg.move_regime,
-        "dedup_capacity": cfg.dedup_capacity,
-        "workers": cfg.workers,
-        "strategy": cfg.strategy,
-        "seed": seed,
-    }
+    return dict(dataclasses.asdict(cfg), seed=seed)
 
 
 def _outcome_exit(outcome):
@@ -316,7 +301,6 @@ def _emit_outcome(args, start, cfg, outcome):
         "max-total-length: %d" % cfg.max_total_length,
         "max-depth: %d" % cfg.max_depth,
         "regime: %s" % cfg.move_regime,
-        "strategy: %s" % cfg.strategy,
         "workers: %d" % cfg.workers,
         "seed: %s" % ("none" if args.seed is None else args.seed),
     ]
@@ -382,8 +366,7 @@ def _cmd_family(args):
         return EXIT_OK
     if args.op == "report":
         cfg = None
-        if args.max_len is not None or args.max_depth is not None \
-                or os.environ.get(ENV_MAX_LEN) or os.environ.get(ENV_MAX_DEPTH):
+        if args.max_len is not None or args.max_depth is not None:
             max_len, max_depth = _resolve_budget(args, 0)
             cfg = SearchConfig(max_total_length=max_len, max_depth=max_depth,
                                move_regime=args.regime, workers=args.workers)
@@ -478,7 +461,6 @@ def _add_search_flags(p):
     p.add_argument("--max-depth", type=int, default=None,
                    help="move-depth ceiling (default $%s, else 24)" % ENV_MAX_DEPTH)
     p.add_argument("--regime", choices=("strict", "extended"), default="strict")
-    p.add_argument("--strategy", choices=("bfs", "iddfs"), default="bfs")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--capacity", type=int, default=1_000_000,
                    help="deduplication-table soft ceiling")
@@ -595,11 +577,20 @@ def main(argv=None):
         if len(given) != 1:
             parser.error("search needs exactly one of --pres, --in, --family")
     if args.subcommand == "search" or (args.subcommand == "family" and args.op == "report"):
+        source = {}   # budget flag -> where its value came from
+        for flag, env in (("max_len", ENV_MAX_LEN), ("max_depth", ENV_MAX_DEPTH)):
+            text = os.environ.get(env)
+            if getattr(args, flag) is None and text:
+                source[flag] = "$" + env
+                try:
+                    setattr(args, flag, int(text))
+                except ValueError:
+                    parser.error("$%s must be an integer, got %r" % (env, text))
         for flag, least in (("workers", 1), ("max_depth", 0), ("capacity", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
-                parser.error("--%s must be >= %d, got %d"
-                             % (flag.replace("_", "-"), least, value))
+                parser.error("%s must be >= %d, got %d"
+                             % (source.get(flag, "--" + flag.replace("_", "-")), least, value))
     try:
         return args.handler(args)
     except (WordError, MoveError, KirbyError, CurveError, ValueError,

@@ -428,6 +428,11 @@ def presentation_to_dict(P):
 
 
 def presentation_from_dict(doc):
+    if not isinstance(doc, dict) or set(doc) != {"rank", "relators"} \
+            or not isinstance(doc["relators"], list) \
+            or not all(isinstance(r, str) for r in doc["relators"]):
+        raise ValueError("malformed presentation record %r: it needs exactly "
+                         "\"rank\" and a list of relator strings \"relators\"" % (doc,))
     return Presentation(doc["rank"], [parse_word(r) for r in doc["relators"]])
 
 
@@ -463,14 +468,20 @@ def move_to_dict(move):
 
 
 def move_from_dict(doc):
+    """Inverse of move_to_dict; a malformed record raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("move record must be an object, got %r" % (doc,))
     tag = doc.get("type")
-    if tag == "composite":
-        return Composite(tuple(move_from_dict(m) for m in doc["moves"]))
-    if tag == "multiply_by_conjugate":
-        return MultiplyByConjugate(doc["i"], doc["j"],
-                                   parse_word(doc["conjugator"]), doc.get("sign", 1))
-    for cls, t in _MOVE_TAGS.items():
-        if t == tag:
-            fields = {k: v for k, v in doc.items() if k != "type"}
-            return cls(**fields)
+    try:
+        if tag == "composite":
+            return Composite(tuple(move_from_dict(m) for m in doc["moves"]))
+        if tag == "multiply_by_conjugate":
+            return MultiplyByConjugate(doc["i"], doc["j"],
+                                       parse_word(doc["conjugator"]), doc.get("sign", 1))
+        for cls, t in _MOVE_TAGS.items():
+            if t == tag:
+                fields = {k: v for k, v in doc.items() if k != "type"}
+                return cls(**fields)
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed %s move record %r: %s" % (tag, doc, exc)) from None
     raise ValueError("unknown move record %r" % (doc,))

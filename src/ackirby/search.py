@@ -1,7 +1,9 @@
 """Certificate verification and bounded trivialization search.
 
-The search works on canonical classes (presentations up to relator
-permutation, inversion and conjugation).  One search step is an
+The search is breadth-first, in the style of the Andrews–Curtis
+searches of Havas–Ramsay (2003) and Bowman–McCaul (2006), and works on
+canonical classes (presentations up to relator permutation, inversion
+and conjugation).  One search step is an
 essential move: replacing a relator by its product with a rotated copy
 (or inverted rotated copy) of another, stabilizing, destabilizing, or —
 in the extended regime — a generator basis change.  Bookkeeping moves
@@ -23,10 +25,10 @@ length of every class on a path; max_depth counts essential moves.
 """
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from ackirby import _kernel
@@ -81,7 +83,6 @@ class SearchConfig:
     move_regime: str = "strict"          # "strict" | "extended"
     dedup_capacity: int = 1_000_000
     workers: int = 1
-    strategy: str = "bfs"                # "bfs" | "iddfs"
 
 
 @dataclass
@@ -201,11 +202,6 @@ def _successors(state, max_len, regime):
     return out
 
 
-def _expand_chunk(states, max_len, regime):
-    """Worker task: the successor list of each state of a frontier chunk."""
-    return [_successors(state, max_len, regime) for state in states]
-
-
 # ---------------------------------------------------------------------------
 # Certificate expansion: class path -> atomic moves
 
@@ -298,14 +294,12 @@ def _reconstruct_path(visited, goal):
 
 
 # ---------------------------------------------------------------------------
-# Search drivers
+# Search driver
 
 def _validate_config(start, cfg):
     if cfg.move_regime not in ("strict", "extended"):
         raise ValueError("move_regime must be 'strict' or 'extended', got %r"
                          % (cfg.move_regime,))
-    if cfg.strategy not in ("bfs", "iddfs"):
-        raise ValueError("strategy must be 'bfs' or 'iddfs', got %r" % (cfg.strategy,))
     if cfg.max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if cfg.workers < 1:
@@ -317,14 +311,21 @@ def _validate_config(start, cfg):
 
 
 def search(start, cfg, progress=None):
-    """Bounded-exhaustive search for a trivialization of `start`.
+    """Bounded-exhaustive breadth-first search for a trivialization of
+    `start`.
+
+    The search expands the class graph level by level.  Each frontier
+    state's successors are deduplicated against the visited table before
+    the next state is expanded, so a level's duplicate children are never
+    held at once; with more than one worker and a frontier of more than
+    64 states, the level is expanded in a process pool instead and its
+    results are merged in the same frontier order.
 
     Returns a SearchOutcome: "found" with a verified certificate,
     "exhausted" when every class within the bounds was explored, or
-    "inconclusive" when the dedup table exceeded its capacity.  Outcome
-    and visited counts are deterministic for a fixed config, independent
-    of the worker count; the certificate itself is deterministic in
-    single-frontier mode.
+    "inconclusive" when the dedup table exceeded its capacity.  Outcome,
+    visited counts and certificate are deterministic for a fixed config,
+    independent of the worker count.
 
     `progress`, if given, is called as progress(depth, visited, frontier)
     at each depth boundary; it must not influence the search.
@@ -338,22 +339,6 @@ def search(start, cfg, progress=None):
     True
     """
     _validate_config(start, cfg)
-    if cfg.strategy == "iddfs":
-        return _search_iddfs(start, cfg, progress)
-    return _search_bfs(start, cfg, progress)
-
-
-def _finish_found(start, visited, goal, stats):
-    path = _reconstruct_path(visited, goal)
-    cert = _expand_certificate(start, path)
-    report = verify(cert)
-    if not report.ok:
-        raise RuntimeError("internal error: found certificate failed to verify: %s"
-                           % (report.reason,))
-    return SearchOutcome("found", cert, stats)
-
-
-def _search_bfs(start, cfg, progress=None):
     L, D = cfg.max_total_length, cfg.max_depth
     start_state = canonical_form(start)
     visited = {start_state: (None, None)}
@@ -370,13 +355,12 @@ def _search_bfs(start, cfg, progress=None):
         while frontier and depth < D:
             depth += 1
             if pool is not None and len(frontier) > 64:
-                size = max(1, (len(frontier) + 4 * workers - 1) // (4 * workers))
-                chunks = [frontier[k:k + size] for k in range(0, len(frontier), size)]
-                results = pool.map(_expand_chunk, chunks,
-                                   itertools.repeat(L), itertools.repeat(cfg.move_regime))
-                expansion = itertools.chain.from_iterable(results)
+                # about four chunks per worker; results come back in order
+                expand = functools.partial(pool.map,
+                                           chunksize=-(-len(frontier) // (4 * workers)))
             else:
-                expansion = _expand_chunk(frontier, L, cfg.move_regime)
+                expand = map  # lazy: one state's successors at a time
+            expansion = expand(_successors, frontier, repeat(L), repeat(cfg.move_regime))
 
             found = None
             new_states = []
@@ -395,7 +379,12 @@ def _search_bfs(start, cfg, progress=None):
             if progress is not None:
                 progress(depth, len(visited), len(new_states))
             if found is not None:
-                return _finish_found(start, visited, found, stats)
+                cert = _expand_certificate(start, _reconstruct_path(visited, found))
+                report = verify(cert)
+                if not report.ok:
+                    raise RuntimeError("internal error: found certificate failed to verify: %s"
+                                       % (report.reason,))
+                return SearchOutcome("found", cert, stats)
             # capacity is a soft ceiling checked at level boundaries so the
             # outcome stays deterministic across worker counts
             if len(visited) > cfg.dedup_capacity:
@@ -405,57 +394,6 @@ def _search_bfs(start, cfg, progress=None):
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def _search_iddfs(start, cfg, progress=None):
-    """Iterative deepening over the same class graph; sequential only."""
-    L, D = cfg.max_total_length, cfg.max_depth
-    start_state = canonical_form(start)
-    stats = SearchStats(visited=1, frontier_peak=1,
-                        max_total_length=L, max_depth=D, depth_reached=0)
-    if _is_trivial_state(start_state):
-        return SearchOutcome("found", MoveCertificate(start, ()), stats)
-
-    for limit in range(1, D + 1):
-        table = {start_state: 0}
-        # frame: [state, depth, successor iterator, edge that led here]
-        frames = [[start_state, 0, iter(_successors(start_state, L, cfg.move_regime)), None]]
-        stats.frontier_peak = max(stats.frontier_peak, 1)
-        while frames:
-            state, depth, it, _ = frames[-1]
-            step = next(it, None)
-            if step is None:
-                frames.pop()
-                continue
-            edge, child = step
-            if depth + 1 > limit:
-                continue
-            prev = table.get(child)
-            if prev is not None and prev <= depth + 1:
-                continue
-            table[child] = depth + 1
-            if len(table) > cfg.dedup_capacity:
-                stats.visited = len(table)
-                stats.depth_reached = limit
-                return SearchOutcome("inconclusive", None, stats)
-            if _is_trivial_state(child):
-                path = [(frames[t + 1][3], frames[t + 1][0])
-                        for t in range(len(frames) - 1)]
-                path.append((edge, child))
-                visited = {start_state: (None, None)}
-                for (e, s), (pe, ps) in zip(path, [(None, start_state)] + path[:-1]):
-                    visited[s] = (ps, e)
-                stats.visited = len(table)
-                stats.depth_reached = depth + 1
-                return _finish_found(start, visited, child, stats)
-            frames.append([child, depth + 1,
-                           iter(_successors(child, L, cfg.move_regime)), edge])
-            stats.frontier_peak = max(stats.frontier_peak, len(frames))
-        stats.visited = len(table)
-        stats.depth_reached = limit
-        if progress is not None:
-            progress(limit, len(table), len(frames))
-    return SearchOutcome("exhausted", None, stats)
 
 
 def hybrid_trivialize(start, prefix, cfg, progress=None):
@@ -469,11 +407,6 @@ def hybrid_trivialize(start, prefix, cfg, progress=None):
     P = start
     for move in prefix.moves:
         P = apply_move(P, move)
-    if is_trivial_presentation(P):
-        stats = SearchStats(visited=1, frontier_peak=1,
-                            max_total_length=cfg.max_total_length,
-                            max_depth=cfg.max_depth, depth_reached=0)
-        return SearchOutcome("found", MoveCertificate(start, tuple(prefix.moves)), stats)
     out = search(P, cfg, progress)
     if out.found:
         cert = MoveCertificate(start, tuple(prefix.moves) + tuple(out.certificate.moves))
@@ -494,6 +427,10 @@ def certificate_to_dict(cert):
 
 
 def certificate_from_dict(doc):
+    if not isinstance(doc, dict) or set(doc) != {"start", "moves"} \
+            or not isinstance(doc["moves"], list):
+        raise ValueError("malformed certificate record %r: it needs exactly "
+                         "\"start\" and a list \"moves\"" % (doc,))
     return MoveCertificate(presentation_from_dict(doc["start"]),
                            tuple(move_from_dict(m) for m in doc["moves"]))
 

@@ -95,6 +95,19 @@ class TestPresCommands:
         assert r.returncode == 1
         assert "error:" in r.stderr
 
+    @pytest.mark.parametrize("moves", [
+        [{"type": "invert_relator"}],
+        [{"type": "invert_relator", "i": 1, "x": 2}],
+        [5],
+        [{"type": "composite", "moves": [{"type": "swap_relators", "i": 1}]}],
+    ], ids=("missing_field", "extra_field", "not_an_object", "bad_nested_record"))
+    def test_malformed_move_record_is_input_error(self, moves):
+        r = run("pres", "apply", "--pres", "2; xy; y", "--moves", "-",
+                stdin=json.dumps(moves))
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestSearchCommand:
     def test_found_json_and_exit_zero(self):
@@ -159,12 +172,27 @@ class TestSearchCommand:
                      env={"ACKIRBY_MAX_LEN": "9", "ACKIRBY_MAX_DEPTH": "5"})
         assert by_flag.stdout == by_env.stdout
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("ACKIRBY_MAX_DEPTH", "-1", "$ACKIRBY_MAX_DEPTH must be >= 0, got -1"),
+        ("ACKIRBY_MAX_DEPTH", "abc", "$ACKIRBY_MAX_DEPTH must be an integer, got 'abc'"),
+        ("ACKIRBY_MAX_LEN", "abc", "$ACKIRBY_MAX_LEN must be an integer, got 'abc'"),
+    ], ids=("depth_negative", "depth_not_integer", "len_not_integer"))
+    def test_bad_env_budget_is_usage_error(self, name, value, message):
+        for command in (("search", "--pres", "2; Yx; x"),
+                        ("family", "report", "--n-max", "0")):
+            r = run(*command, env={name: value})
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert message in r.stderr
+
     def test_seed_recorded_but_inert(self):
         plain = run("search", "--pres", "2; Yx; x",
                     "--max-len", "13", "--max-depth", "20")
         seeded = run("search", "--pres", "2; Yx; x",
                      "--max-len", "13", "--max-depth", "20", "--seed", "7")
         d1, d2 = json.loads(plain.stdout), json.loads(seeded.stdout)
+        assert set(d1["config"]) == {"max_total_length", "max_depth", "move_regime",
+                                     "dedup_capacity", "workers", "seed"}
         assert d1["config"]["seed"] is None
         assert d2["config"]["seed"] == 7
         assert d1["outcome"] == d2["outcome"]
@@ -233,6 +261,18 @@ class TestVerifyCommand:
         r = run("verify", "--cert", "/nonexistent/cert.json")
         assert r.returncode == 1
         assert "error:" in r.stderr
+
+    @pytest.mark.parametrize("doc", [
+        {"moves": []},
+        [],
+        {"start": {"rank": 2}, "moves": []},
+        {"start": {"rank": 2, "relators": ["x", "y"]}, "moves": [{"type": "stabilize", "i": 1}]},
+    ], ids=("no_start", "not_an_object", "bad_start", "bad_move"))
+    def test_malformed_certificate_is_input_error(self, doc):
+        r = run("verify", "--cert", "-", stdin=json.dumps(doc))
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestFamilyCommands:

@@ -154,6 +154,7 @@ class TestDeterminism:
         par = search(start, cfg(13, 6, workers=2))
         assert (seq.status, seq.stats.visited) == (par.status, par.stats.visited)
         assert par.found and verify(par.certificate).ok
+        assert par.certificate == seq.certificate
 
     def test_workers_on_exhausted_case(self):
         start = presentation_Ln1(2)
@@ -169,8 +170,8 @@ class TestDeterminism:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, *iterables):
-                maps.append(fn)
+            def map(self, fn, *iterables, chunksize=1):
+                maps.append((len(iterables[0]), chunksize))
                 return map(fn, *iterables)
 
             def shutdown(self):
@@ -186,19 +187,34 @@ class TestDeterminism:
             out = search(start, cfg(12, 5, move_regime="extended", workers=10**6))
             assert sizes == want
             assert bool(maps) == bool(want)
+            # about four chunks per worker
+            assert all(size == -(-frontier // (4 * 2)) for frontier, size in maps)
             assert (out.status, out.stats.visited) == ("exhausted", 712)
 
-    def test_iddfs_agrees_with_bfs(self):
-        for start, L, D in ((presentation_Ln1(0), 13, 20),
-                            (presentation_Ln1(2), 12, 4),
-                            (presentation_Ln1(3), 13, 8)):
-            b = search(start, cfg(L, D))
-            i = search(start, cfg(L, D, strategy="iddfs"))
-            assert b.status == i.status
-            if b.found:
-                assert verify(i.certificate).ok
-            else:
-                assert b.stats.visited == i.stats.visited
+    def test_expansion_is_streamed(self, monkeypatch):
+        """In-process, each state's successors are deduplicated before
+        the next state is expanded."""
+        lists, early = [], []
+
+        class Recorded(list):
+            consumed = False
+
+            def __iter__(self):
+                yield from list.__iter__(self)
+                self.consumed = True
+
+        successors = search_module._successors
+
+        def recording(*args):
+            early.extend(k for k, seen in enumerate(lists) if not seen.consumed)
+            lists.append(Recorded(successors(*args)))
+            return lists[-1]
+
+        monkeypatch.setattr(search_module, "_successors", recording)
+        out = search(presentation_Ln1(3), cfg(15, 8))
+        assert (out.status, out.stats.visited) == ("exhausted", 55)
+        assert len(lists) > 1
+        assert early == []
 
     def test_monotone_in_bounds(self):
         start = presentation_Ln1(0)
@@ -241,6 +257,12 @@ class TestHybrid:
         out = hybrid_trivialize(start, prefix, cfg(4, 2))
         assert out.found
         assert out.certificate.moves == prefix.moves
+
+    def test_invalid_config_rejected_even_if_prefix_trivializes(self):
+        start = P("2; xY; y")
+        prefix = MoveCertificate(start, (MultiplyRelator(1, 2, "right"),))
+        with pytest.raises(ValueError):
+            hybrid_trivialize(start, prefix, cfg(4, 2, workers=0))
 
     def test_wrong_start_rejected(self):
         prefix = MoveCertificate(P("2; x; y"), ())

@@ -8,11 +8,17 @@
  * with OverflowError, so every key fits in a C long even where that is 32
  * bits, and nothing wraps.
  *
+ * The module holds the five functions the library calls on its hot paths:
+ * reduce_word, invert_word, canonical_relator, sort_relators and
+ * expand_multiply.  Cold word operations are written once, in Python, at
+ * their callers.
+ *
  * The canonicalizing functions work in key space, as _kernel_py does: the
- * key of a letter is its letter_key, so the canonical letter order is
- * integer order and the inverse of key k is k ^ 1.  sort_relators is the
- * one definition of the canonical relator order (length, then keys); it
- * compares key buffers and boxes nothing but its result tuple.
+ * key of a letter orders g1 < g1^-1 < g2 < g2^-1 < ..., so the canonical
+ * letter order is integer order and the inverse of key k is k ^ 1.
+ * sort_relators is the one definition of the canonical relator order
+ * (length, then keys); it compares key buffers and boxes nothing but its
+ * result tuple.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -48,18 +54,18 @@ load_letter(PyObject *obj, long *out)
     return 0;
 }
 
-/* Letters of a sequence, in a buffer of at least `extra` more longs than
- * letters (and at least one); the caller frees it with PyMem_Free.  With
- * `keys` set, the buffer holds letter keys instead.  NULL on error. */
+/* Letters of a sequence, in a buffer of at least one long; the caller
+ * frees it with PyMem_Free.  With `keys` set, the buffer holds letter keys
+ * instead.  NULL on error. */
 static long *
-load_word(PyObject *seq, Py_ssize_t *n, Py_ssize_t extra, int keys)
+load_word(PyObject *seq, Py_ssize_t *n, int keys)
 {
     PyObject *fast = PySequence_Fast(seq, "a word must be a sequence of letters");
     if (fast == NULL)
         return NULL;
     Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
-    long *buf = PyMem_New(long, len + extra + 1);
+    long *buf = PyMem_New(long, len + 1);
     if (buf == NULL) {
         Py_DECREF(fast);
         PyErr_NoMemory();
@@ -134,46 +140,6 @@ least_rotation(const long *c, Py_ssize_t n, long *buf)
     return best;
 }
 
-/* Start and length of the cyclically reduced core of the n letters at w. */
-static Py_ssize_t
-core_of(const long *w, Py_ssize_t n, Py_ssize_t *start)
-{
-    Py_ssize_t i = 0, j = n - 1;
-    while (i < j && w[i] == -w[j]) {
-        i++;
-        j--;
-    }
-    *start = i;
-    return j - i + 1;
-}
-
-/* Canonical relator of the core of n keys at c, as a letter tuple. */
-static PyObject *
-box_canonical(const long *c, Py_ssize_t n)
-{
-    if (n == 0)
-        return PyTuple_New(0);
-    long *buf = PyMem_New(long, 4 * n);
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    PyObject *out = box_word(least_rotation(c, n, buf), n, 1);
-    PyMem_Free(buf);
-    return out;
-}
-
-PyDoc_STRVAR(letter_key_doc,
-"letter_key(v)\n--\n\n"
-"Total order on letters: g1 < g1^-1 < g2 < g2^-1 < ...");
-
-static PyObject *
-letter_key(PyObject *self, PyObject *v)
-{
-    long letter;
-    if (load_letter(v, &letter) < 0)
-        return NULL;
-    return PyLong_FromLong(key_of(letter));
-}
-
 PyDoc_STRVAR(reduce_word_doc,
 "reduce_word(letters)\n--\n\n"
 "Freely reduce a raw letter sequence by a single stack pass.");
@@ -182,7 +148,7 @@ static PyObject *
 reduce_word(PyObject *self, PyObject *letters)
 {
     Py_ssize_t n, top = 0;
-    long *w = load_word(letters, &n, 0, 0);
+    long *w = load_word(letters, &n, 0);
     if (w == NULL)
         return NULL;
     /* the stack grows in place: it never overtakes the read position */
@@ -197,39 +163,6 @@ reduce_word(PyObject *self, PyObject *letters)
     return out;
 }
 
-PyDoc_STRVAR(reduce_concat_doc,
-"reduce_concat(a, b)\n--\n\n"
-"Concatenate two already-reduced words, cancelling at the seam.");
-
-static PyObject *
-reduce_concat(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError,
-                     "reduce_concat() takes 2 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    Py_ssize_t la, lb, t = 0;
-    long *a = load_word(args[0], &la, 0, 0);
-    if (a == NULL)
-        return NULL;
-    long *b = load_word(args[1], &lb, la, 0);
-    if (b == NULL) {
-        PyMem_Free(a);
-        return NULL;
-    }
-    Py_ssize_t m = la < lb ? la : lb;
-    while (t < m && a[la - 1 - t] == -b[t])
-        t++;
-    /* b's buffer has room for a's letters in front of its tail */
-    memmove(b + la - t, b + t, (lb - t) * sizeof(long));
-    memcpy(b, a, (la - t) * sizeof(long));
-    PyObject *out = box_word(b, la + lb - 2 * t, 0);
-    PyMem_Free(a);
-    PyMem_Free(b);
-    return out;
-}
-
 PyDoc_STRVAR(invert_word_doc,
 "invert_word(w)\n--\n\n"
 "Inverse of a reduced word (reverse and negate).");
@@ -238,7 +171,7 @@ static PyObject *
 invert_word(PyObject *self, PyObject *word)
 {
     Py_ssize_t n;
-    long *w = load_word(word, &n, 0, 0);
+    long *w = load_word(word, &n, 0);
     if (w == NULL)
         return NULL;
     for (Py_ssize_t i = 0, j = n - 1; i <= j; i++, j--) {
@@ -251,45 +184,6 @@ invert_word(PyObject *self, PyObject *word)
     return out;
 }
 
-PyDoc_STRVAR(cyclic_split_doc,
-"cyclic_split(w)\n--\n\n"
-"Split a reduced word as conjugator * core * conjugator^-1.\n\n"
-"Returns (conjugator, core) with the core cyclically reduced.");
-
-static PyObject *
-cyclic_split(PyObject *self, PyObject *word)
-{
-    Py_ssize_t n, start;
-    long *w = load_word(word, &n, 0, 0);
-    if (w == NULL)
-        return NULL;
-    Py_ssize_t len = core_of(w, n, &start);
-    PyObject *conj = box_word(w, start, 0);
-    PyObject *core = conj ? box_word(w + start, len, 0) : NULL;
-    PyObject *out = core ? PyTuple_Pack(2, conj, core) : NULL;
-    PyMem_Free(w);
-    Py_XDECREF(conj);
-    Py_XDECREF(core);
-    return out;
-}
-
-PyDoc_STRVAR(canonical_rotation_doc,
-"canonical_rotation(core)\n--\n\n"
-"Lexicographically minimal rotation of a cyclically reduced word\n"
-"or of its inverse, under the letter_key order.");
-
-static PyObject *
-canonical_rotation(PyObject *self, PyObject *core)
-{
-    Py_ssize_t n;
-    long *c = load_word(core, &n, 0, 1);
-    if (c == NULL)
-        return NULL;
-    PyObject *out = box_canonical(c, n);
-    PyMem_Free(c);
-    return out;
-}
-
 PyDoc_STRVAR(canonical_relator_doc,
 "canonical_relator(w)\n--\n\n"
 "Canonical form of a relator up to conjugation and inversion.");
@@ -297,14 +191,24 @@ PyDoc_STRVAR(canonical_relator_doc,
 static PyObject *
 canonical_relator(PyObject *self, PyObject *word)
 {
-    Py_ssize_t n, start;
-    long *w = load_word(word, &n, 0, 0);
+    Py_ssize_t n, i = 0;
+    long *w = load_word(word, &n, 1);
     if (w == NULL)
         return NULL;
-    Py_ssize_t len = core_of(w, n, &start);
-    for (Py_ssize_t i = start; i < start + len; i++)
-        w[i] = key_of(w[i]);
-    PyObject *out = box_canonical(w + start, len);
+    /* the cyclically reduced core is w[i..j] */
+    Py_ssize_t j = n - 1;
+    while (i < j && w[i] == (w[j] ^ 1)) {
+        i++;
+        j--;
+    }
+    n = j - i + 1;
+    long *rot = PyMem_New(long, 4 * n + 1);
+    PyObject *out;
+    if (rot == NULL)
+        out = PyErr_NoMemory();
+    else
+        out = n ? box_word(least_rotation(w + i, n, rot), n, 1) : PyTuple_New(0);
+    PyMem_Free(rot);
     PyMem_Free(w);
     return out;
 }
@@ -328,7 +232,7 @@ relator_less(const relator_entry *a, const relator_entry *b)
 PyDoc_STRVAR(sort_relators_doc,
 "sort_relators(rels)\n--\n\n"
 "The given relators as a tuple in canonical order: by length, then\n"
-"letter by letter in letter_key order.  The sort is stable.");
+"letter by letter in key order (x < X < y < Y < ...).  The sort is stable.");
 
 static PyObject *
 sort_relators(PyObject *self, PyObject *rels)
@@ -346,7 +250,7 @@ sort_relators(PyObject *self, PyObject *rels)
     }
     for (; loaded < n; loaded++) {
         e[loaded].obj = items[loaded];
-        e[loaded].keys = load_word(items[loaded], &e[loaded].len, 0, 1);
+        e[loaded].keys = load_word(items[loaded], &e[loaded].len, 1);
         if (e[loaded].keys == NULL)
             goto done;
     }
@@ -461,10 +365,10 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
             return NULL;
     }
     Py_ssize_t ni, nj;
-    long *a = load_word(ci, &ni, 0, 1);
+    long *a = load_word(ci, &ni, 1);
     if (a == NULL)
         return NULL;
-    long *b = load_word(cj, &nj, 0, 1);
+    long *b = load_word(cj, &nj, 1);
     PyObject *res = b ? PyDict_New() : NULL;
     if (res != NULL && multiply_into(res, a, ni, b, nj, limit) < 0)
         Py_CLEAR(res);
@@ -474,13 +378,8 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"letter_key", letter_key, METH_O, letter_key_doc},
     {"reduce_word", reduce_word, METH_O, reduce_word_doc},
-    {"reduce_concat", (PyCFunction)(void (*)(void))reduce_concat,
-     METH_FASTCALL, reduce_concat_doc},
     {"invert_word", invert_word, METH_O, invert_word_doc},
-    {"cyclic_split", cyclic_split, METH_O, cyclic_split_doc},
-    {"canonical_rotation", canonical_rotation, METH_O, canonical_rotation_doc},
     {"canonical_relator", canonical_relator, METH_O, canonical_relator_doc},
     {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,

@@ -2,10 +2,13 @@
 
 Letters are nonzero signed integers: +k is the k-th generator, -k its
 inverse.  Words are tuples of letters.  The compiled twin of this module
-(`_kernel_c`) implements the same functions; `_kernel` picks one at import
-time.  Keep the two implementations in lockstep.
+(`_kernel_c`) implements the same five functions: `reduce_word`,
+`invert_word`, `canonical_relator`, `sort_relators` and
+`expand_multiply`, the ones the library calls on its hot paths; `_kernel`
+picks one module at import time.  Keep the two implementations in
+lockstep.
 
-The canonicalizing functions work in key space.  `letter_key` maps the
+The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical
 letter order is integer order and the inverse of key k is k ^ 1.  A word
 is encoded once into a tuple of keys; seam cancellation, the cyclic split
@@ -15,22 +18,22 @@ order, and only the result is decoded back into letters.
 after the cyclic split, before any rotation is built or compared.
 
 `sort_relators` is the one definition of the canonical relator order:
-by length, then letter by letter in `letter_key` order.
+by length, then letter by letter in key order (x < X < y < Y < ...).
 """
 
 
-def letter_key(v):
+def _letter_key(v):
     """Total order on letters: g1 < g1^-1 < g2 < g2^-1 < ...
 
-    >>> sorted([2, -1, 1, -2], key=letter_key)
+    >>> sorted([2, -1, 1, -2], key=_letter_key)
     [1, -1, 2, -2]
     """
     return 2 * (v - 1) if v > 0 else 2 * (-v - 1) + 1
 
 
 def _encode(w):
-    """Key tuple of a word: letter_key applied letter by letter."""
-    return tuple(map(letter_key, w))
+    """Key tuple of a word: _letter_key applied letter by letter."""
+    return tuple(map(_letter_key, w))
 
 
 def _decode(keys):
@@ -68,48 +71,22 @@ def reduce_word(letters):
     return tuple(out)
 
 
-def reduce_concat(a, b):
-    """Concatenate two already-reduced words, cancelling at the seam."""
-    la, lb = len(a), len(b)
-    t = 0
-    m = la if la < lb else lb
-    while t < m and a[la - 1 - t] == -b[t]:
-        t += 1
-    return a[:la - t] + b[t:]
-
-
 def invert_word(w):
     """Inverse of a reduced word (reverse and negate)."""
     return tuple(-v for v in reversed(w))
 
 
-def cyclic_split(w):
-    """Split a reduced word as conjugator * core * conjugator^-1.
-
-    Returns (conjugator, core) with the core cyclically reduced.
-    """
+def canonical_relator(w):
+    """Canonical form of a relator up to conjugation and inversion: the
+    least rotation, in key order, of its cyclically reduced core or of
+    the core's inverse."""
     i, j = 0, len(w) - 1
     while i < j and w[i] == -w[j]:
         i += 1
         j -= 1
-    return w[:i], w[i:j + 1]
-
-
-def canonical_rotation(core):
-    """Lexicographically minimal rotation of a cyclically reduced word
-    or of its inverse, under the letter_key order.
-
-    The word is encoded into keys once; the least key tuple among the
-    rotations of the keys and of their inverse is decoded back.
-    """
-    if not core:
+    if i > j:
         return ()
-    return _decode(_least_rotation(_encode(core)))
-
-
-def canonical_relator(w):
-    """Canonical form of a relator up to conjugation and inversion."""
-    return canonical_rotation(cyclic_split(w)[1])
+    return _decode(_least_rotation(_encode(w[i:j + 1])))
 
 
 def _relator_key(w):
@@ -118,7 +95,7 @@ def _relator_key(w):
 
 def sort_relators(rels):
     """The given relators as a tuple in canonical order: by length, then
-    letter by letter in letter_key order.  The sort is stable.
+    letter by letter in key order.  The sort is stable.
 
     >>> sort_relators([(2,), (1, 2), (-1,), (1,)])
     ((1,), (-1,), (2,), (1, 2))

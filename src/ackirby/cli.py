@@ -143,13 +143,6 @@ def _load_presentation(args):
     return presentation_from_w(_family_param(args.family), parse_word(args.family_w))
 
 
-def _resolve_budget(args, start_total):
-    """Budget defaults; main has already read the environment."""
-    max_len = args.max_len if args.max_len is not None else start_total + 6
-    max_depth = args.max_depth if args.max_depth is not None else 24
-    return max_len, max_depth
-
-
 def _parse_labeling(spec):
     if spec is None:
         return None
@@ -251,10 +244,11 @@ def _cmd_pres(args):
 
 
 def _build_config(args, start_total):
-    max_len, max_depth = _resolve_budget(args, start_total)
+    """Search config with the budget defaults; main has already read the
+    environment."""
     return SearchConfig(
-        max_total_length=max_len,
-        max_depth=max_depth,
+        max_total_length=args.max_len if args.max_len is not None else start_total + 6,
+        max_depth=args.max_depth if args.max_depth is not None else 24,
         move_regime=args.regime,
         dedup_capacity=args.capacity,
         workers=args.workers,
@@ -365,12 +359,12 @@ def _cmd_family(args):
         _emit(args, {"n": args.n, "presentation": text}, [text])
         return EXIT_OK
     if args.op == "report":
-        cfg = None
-        if args.max_len is not None or args.max_depth is not None:
-            max_len, max_depth = _resolve_budget(args, 0)
-            cfg = SearchConfig(max_total_length=max_len, max_depth=max_depth,
-                               move_regime=args.regime, workers=args.workers)
-        rows = family_report(args.n_max, cfg)
+        overrides = {"move_regime": args.regime, "workers": args.workers}
+        if args.max_len is not None:
+            overrides["max_total_length"] = args.max_len
+        if args.max_depth is not None:
+            overrides["max_depth"] = args.max_depth
+        rows = family_report(args.n_max, **overrides)
         lines = ["n=%d total=%d det=%d status=%s visited=%d"
                  % (r["n"], r["total_length"], r["det"], r["status"], r["visited"])
                  for r in rows]
@@ -522,8 +516,11 @@ def build_parser():
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("report", help="survey rows for n = 0..n_max")
     q.add_argument("--n-max", type=int, required=True)
-    q.add_argument("--max-len", type=int, default=None)
-    q.add_argument("--max-depth", type=int, default=None)
+    q.add_argument("--max-len", type=int, default=None,
+                   help="total-length ceiling (default $%s, else each member's start+2)"
+                   % ENV_MAX_LEN)
+    q.add_argument("--max-depth", type=int, default=None,
+                   help="move-depth ceiling (default $%s, else 8)" % ENV_MAX_DEPTH)
     q.add_argument("--regime", choices=("strict", "extended"), default="strict")
     q.add_argument("--workers", type=int, default=1)
     _add_format(q)

@@ -221,7 +221,7 @@ def _canonicalization_moves(P):
             r = P.relators[i - 1].letters
         if not r:
             continue
-        target = _kernel.canonical_rotation(r)
+        target = _kernel.canonical_relator(r)
         rotations = {r[s:] + r[:s] for s in range(len(r))}
         if target not in rotations:
             P = emit(InvertRelator(i), P)

@@ -12,9 +12,10 @@ escaped form for any index (g1, g2, ...).  Whitespace is ignored.
 
 from ackirby import _kernel
 
-# The compiled kernel holds letters and their letter_key (2 * index - 1
-# at most) in C longs, which are 32 bits on some platforms; 2**30 is the
-# largest index whose key still fits, and that kernel rejects larger ones.
+# The compiled kernel holds letters and their keys (2 * index - 1 at most;
+# keys order the letters x < X < y < Y < ...) in C longs, which are 32
+# bits on some platforms; 2**30 is the largest index whose key still fits,
+# and that kernel rejects larger ones.
 MAX_GENERATOR = 2**30
 
 _XYZ = "xyz"
@@ -81,7 +82,7 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word._from_reduced(_kernel.reduce_concat(self._letters, other._letters))
+        return Word._from_reduced(_kernel.reduce_word(self._letters + other._letters))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -134,8 +135,12 @@ def cyclic_reduce(w):
     >>> str(conj), str(core)
     ('x', 'xy')
     """
-    conj, core = _kernel.cyclic_split(Word(w).letters)
-    return Word._from_reduced(conj), Word._from_reduced(core)
+    letters = Word(w).letters
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return Word._from_reduced(letters[:i]), Word._from_reduced(letters[i:j + 1])
 
 
 def substitute(w, target, replacement):

@@ -7,8 +7,9 @@ directory, with `-Wall`, and any compiler warning fails the build.  The
 function tests load that `_kernel_c` without registering it in
 `sys.modules`, so the rest of the suite keeps the kernel it selected;
 the selection and whole-search tests run fresh interpreters on the
-built package.  The budget and relator-order tests at the end need no
-compiler: they run on whichever kernel `ackirby._kernel` selected.
+built package.  The fallback from an incomplete compiled kernel, and the
+budget and relator-order tests at the end, need no compiler: the latter
+run on whichever kernel `ackirby._kernel` selected.
 """
 
 import importlib.util
@@ -115,8 +116,8 @@ def run_py(code, pure, tree):
     return out.stdout
 
 
-@needs_compiler
 class TestSelection:
+    @needs_compiler
     def test_compiled_backend_is_default(self, built_tree):
         out = run_py("import ackirby; print(ackirby.BACKEND); print(ackirby.__file__)",
                      pure=False, tree=built_tree)
@@ -124,53 +125,47 @@ class TestSelection:
         assert Path(where).is_relative_to(built_tree)
         assert backend == "c"
 
+    @needs_compiler
     def test_env_forces_pure_backend(self, built_tree):
         out = run_py("import ackirby; print(ackirby.BACKEND)",
                      pure=True, tree=built_tree)
         assert out.strip() == "python"
 
+    @needs_compiler
     def test_kernel_matches_selected_backend(self, built_tree):
         out = run_py("from ackirby import _kernel, _kernel_c\n"
                      "print(_kernel.reduce_word is _kernel_c.reduce_word)",
                      pure=False, tree=built_tree)
         assert out.strip() == "True"
 
+    def test_incomplete_compiled_kernel_falls_back(self, tmp_path):
+        """A `_kernel_c` that lacks one of the kernel functions, such as a
+        build of an older `_kernel_c.c`, counts as absent."""
+        shutil.copytree(ROOT / "src" / "ackirby", tmp_path / "ackirby",
+                        ignore=shutil.ignore_patterns("__pycache__", "_kernel_c*"))
+        (tmp_path / "ackirby" / "_kernel_c.py").write_text(
+            "def reduce_word(letters):\n"
+            "    raise AssertionError('the incomplete kernel was used')\n")
+        out = run_py("import ackirby\n"
+                     "from ackirby.family import presentation_Ln1\n"
+                     "print(ackirby.BACKEND)\n"
+                     "print(ackirby.search(presentation_Ln1(0), "
+                     "ackirby.SearchConfig(max_total_length=9, max_depth=8)).status)",
+                     pure=False, tree=tmp_path)
+        assert out.split() == ["python", "found"]
+
 
 @needs_compiler
 class TestFunctionParity:
-    def test_letter_key(self, ck):
-        edge = (MAX_GENERATOR - 1, MAX_GENERATOR)
-        for v in [*range(-6, 7), *edge, *(-g for g in edge)]:
-            if v:
-                assert pk.letter_key(v) == ck.letter_key(v)
-
     @settings(max_examples=400, deadline=None)
     @given(raw_words)
     def test_reduce_word(self, ck, w):
         assert pk.reduce_word(w) == ck.reduce_word(w)
 
     @settings(max_examples=300, deadline=None)
-    @given(raw_words, raw_words)
-    def test_reduce_concat(self, ck, a, b):
-        a, b = pk.reduce_word(a), pk.reduce_word(b)
-        assert pk.reduce_concat(a, b) == ck.reduce_concat(a, b)
-
-    @settings(max_examples=300, deadline=None)
     @given(raw_words)
     def test_invert_word(self, ck, w):
         assert pk.invert_word(w) == ck.invert_word(w)
-
-    @settings(max_examples=300, deadline=None)
-    @given(raw_words)
-    def test_cyclic_split(self, ck, w):
-        w = pk.reduce_word(w)
-        assert pk.cyclic_split(w) == ck.cyclic_split(w)
-
-    @settings(max_examples=300, deadline=None)
-    @given(raw_words)
-    def test_canonical_rotation(self, ck, w):
-        core = pk.cyclic_split(pk.reduce_word(w))[1]
-        assert pk.canonical_rotation(core) == ck.canonical_rotation(core)
 
     @settings(max_examples=300, deadline=None)
     @given(raw_words)
@@ -202,7 +197,7 @@ class TestFunctionParity:
 def test_compiled_kernel_rejects_out_of_range_letters(ck):
     """The compiled kernel holds letter keys in 32 bits, so a letter
     beyond MAX_GENERATOR raises instead of wrapping."""
-    calls = (ck.letter_key, lambda v: ck.canonical_relator((v, 1)),
+    calls = (lambda v: ck.canonical_relator((v, 1)),
              lambda v: ck.expand_multiply((v,), (1,)),
              lambda v: ck.expand_multiply((1,), (1, v)),
              lambda v: ck.sort_relators([(1,), (1, v)]))
@@ -211,7 +206,6 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
             with pytest.raises(OverflowError):
                 call(v)
     for v in (MAX_GENERATOR, -MAX_GENERATOR):
-        assert ck.letter_key(v) == pk.letter_key(v)
         assert ck.canonical_relator((v, 1)) == pk.canonical_relator((v, 1))
         assert ck.expand_multiply((v,), (1,)) == pk.expand_multiply((v,), (1,))
         rels = [(1, v), (v,), (1,), (v, 1)]
@@ -226,8 +220,10 @@ def _public_functions(module):
 @needs_compiler
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
-    re-exported by the selecting module, fails here."""
-    assert _public_functions(ck) == _public_functions(pk) == _public_functions(_kernel)
+    re-exported by the selecting module, fails here; so does any function
+    beyond the five hot-path ones."""
+    assert _public_functions(ck) == _public_functions(pk) == _public_functions(_kernel) == [
+        "canonical_relator", "expand_multiply", "invert_word", "reduce_word", "sort_relators"]
 
 
 SEARCH_SNIPPET = """

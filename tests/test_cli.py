@@ -293,6 +293,26 @@ class TestFamilyCommands:
             "n=3 total=13 det=1 status=exhausted visited=55",
         ]
 
+    def test_report_depth_only_keeps_member_lengths(self):
+        # each member keeps its own start length + 2 as the length budget
+        r = run("family", "report", "--n-max", "1", "--max-depth", "4")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.splitlines() == [
+            "n=0 total=7 det=1 status=found visited=8",
+            "n=1 total=9 det=1 status=found visited=1245",
+        ]
+        r = run("family", "report", "--n-max", "1", env={"ACKIRBY_MAX_DEPTH": "1"})
+        assert r.stdout.splitlines()[1] == "n=1 total=9 det=1 status=exhausted visited=11"
+
+    def test_report_regime_alone_is_applied(self):
+        r = run("family", "report", "--n-max", "2", "--regime", "extended")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "n=0 total=7 det=1 status=found visited=11",
+            "n=1 total=9 det=1 status=found visited=3528",
+            "n=2 total=11 det=1 status=found visited=13365",
+        ]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--workers", "0", "--workers must be >= 1, got 0"),
         ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),

@@ -7,6 +7,7 @@ MODULE_NAMES = [
     "ackirby.words",
     "ackirby.presentations",
     "ackirby._kernel_py",
+    "ackirby._intdet",
     "ackirby.family",
     "ackirby.search",
     "ackirby.kirby",

@@ -20,7 +20,7 @@ from ackirby.presentations import (
     parse_presentation,
     presentation_to_text,
 )
-from ackirby.search import SearchConfig, verify
+from ackirby.search import verify
 from ackirby.words import Word, parse_word
 
 
@@ -126,7 +126,7 @@ class TestFamilyReport:
         assert [r["visited"] for r in rows] == [8, 1245, 1255, 55]
 
     def test_custom_config(self):
-        rows = family_report(1, SearchConfig(max_total_length=15, max_depth=2))
+        rows = family_report(1, max_total_length=15, max_depth=2)
         assert rows[0]["status"] == "found"
         assert rows[1]["status"] == "exhausted"
 

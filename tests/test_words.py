@@ -112,6 +112,15 @@ class TestReduce:
         w = Word(raw)
         assert (w * w.inverse()).letters == ()
 
+    @given(raw_words, raw_words, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_scan_oracle(self, a, c, k):
+        # b starts with the inverse of a's last k letters, so the seam
+        # cancels partly, wholly or not at all
+        a = Word(a)
+        b = Word(a[max(len(a) - k, 0):].inverse().letters + c)
+        assert (a * b).letters == scan_reduce(a.letters + b.letters)
+
 
 class TestCyclicReduce:
     def test_one_step_peel(self):

@@ -13,6 +13,9 @@
  * expand_multiply.  Cold word operations are written once, in Python, at
  * their callers.
  *
+ * setup.py passes this file's CRC-32 (8 hex digits) as SOURCE_CRC32, which
+ * the module exposes, so that ackirby._kernel can tell a stale build.
+ *
  * The canonicalizing functions work in key space, as _kernel_py does: the
  * key of a letter orders g1 < g1^-1 < g2 < g2^-1 < ..., so the canonical
  * letter order is integer order and the inverse of key k is k ^ 1.
@@ -398,5 +401,8 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel_c(void)
 {
-    return PyModule_Create(&kernel_module);
+    PyObject *m = PyModule_Create(&kernel_module);
+    if (m != NULL && PyModule_AddStringConstant(m, "SOURCE_CRC32", SOURCE_CRC32) < 0)
+        Py_CLEAR(m);
+    return m;
 }

@@ -132,10 +132,6 @@ def _family_param(spec):
 
 
 def _load_presentation(args):
-    given = [name for name in ("pres", "infile", "family")
-             if getattr(args, name, None) is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --pres, --in, --family")
     if args.pres is not None:
         return parse_presentation(args.pres)
     if args.infile is not None:
@@ -251,7 +247,6 @@ def _build_config(args, start_total):
         max_depth=args.max_depth if args.max_depth is not None else 24,
         move_regime=args.regime,
         dedup_capacity=args.capacity,
-        workers=args.workers,
     )
 
 
@@ -266,23 +261,15 @@ def _progress_printer(enabled):
     return report
 
 
-def _config_doc(cfg, seed):
-    return dict(dataclasses.asdict(cfg), seed=seed)
-
-
-def _outcome_exit(outcome):
-    if outcome.status == "found":
-        return EXIT_OK
-    if outcome.status == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_NEGATIVE
+_OUTCOME_EXIT = {"found": EXIT_OK, "exhausted": EXIT_NEGATIVE,
+                 "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _emit_outcome(args, start, cfg, outcome):
     doc = {
         "command": "search",
         "input": presentation_to_text(start),
-        "config": _config_doc(cfg, args.seed),
+        "config": dict(dataclasses.asdict(cfg), seed=args.seed, workers=args.workers),
         "outcome": outcome_to_dict(outcome),
     }
     stats = outcome.stats
@@ -295,7 +282,7 @@ def _emit_outcome(args, start, cfg, outcome):
         "max-total-length: %d" % cfg.max_total_length,
         "max-depth: %d" % cfg.max_depth,
         "regime: %s" % cfg.move_regime,
-        "workers: %d" % cfg.workers,
+        "workers: %d" % args.workers,
         "seed: %s" % ("none" if args.seed is None else args.seed),
     ]
     if outcome.found:
@@ -306,7 +293,7 @@ def _emit_outcome(args, start, cfg, outcome):
     if args.cert_out and outcome.found:
         _write_text(args.cert_out, _dump(certificate_to_dict(outcome.certificate)))
         print("wrote certificate: %s" % args.cert_out, file=sys.stderr)
-    return _outcome_exit(outcome)
+    return _OUTCOME_EXIT[outcome.status]
 
 
 def _cmd_search(args):
@@ -359,7 +346,7 @@ def _cmd_family(args):
         _emit(args, {"n": args.n, "presentation": text}, [text])
         return EXIT_OK
     if args.op == "report":
-        overrides = {"move_regime": args.regime, "workers": args.workers}
+        overrides = {"move_regime": args.regime}
         if args.max_len is not None:
             overrides["max_total_length"] = args.max_len
         if args.max_depth is not None:
@@ -455,9 +442,11 @@ def _add_search_flags(p):
     p.add_argument("--max-depth", type=int, default=None,
                    help="move-depth ceiling (default $%s, else 24)" % ENV_MAX_DEPTH)
     p.add_argument("--regime", choices=("strict", "extended"), default="strict")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="recorded in the output; the search runs in one process, "
+                        "so the value changes nothing")
     p.add_argument("--capacity", type=int, default=1_000_000,
-                   help="deduplication-table soft ceiling")
+                   help="hard limit on the classes the deduplication table holds")
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the output; the search is deterministic")
     p.add_argument("--progress", action="store_true",
@@ -522,7 +511,6 @@ def build_parser():
     q.add_argument("--max-depth", type=int, default=None,
                    help="move-depth ceiling (default $%s, else 8)" % ENV_MAX_DEPTH)
     q.add_argument("--regime", choices=("strict", "extended"), default="strict")
-    q.add_argument("--workers", type=int, default=1)
     _add_format(q)
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("gersten", help="emit the built-in n=2 certificate")

@@ -25,8 +25,6 @@ length of every class on a path; max_depth counts essential moves.
 """
 
 import functools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -82,7 +80,6 @@ class SearchConfig:
     max_depth: int
     move_regime: str = "strict"          # "strict" | "extended"
     dedup_capacity: int = 1_000_000
-    workers: int = 1
 
 
 @dataclass
@@ -302,8 +299,8 @@ def _validate_config(start, cfg):
                          % (cfg.move_regime,))
     if cfg.max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1, got %r" % (cfg.workers,))
+    if cfg.dedup_capacity < 1:
+        raise ValueError("dedup_capacity must be >= 1, got %r" % (cfg.dedup_capacity,))
     if start.total_length() > cfg.max_total_length:
         raise ValueError(
             "max_total_length %d is below the start presentation's total length %d"
@@ -314,18 +311,17 @@ def search(start, cfg, progress=None):
     """Bounded-exhaustive breadth-first search for a trivialization of
     `start`.
 
-    The search expands the class graph level by level.  Each frontier
-    state's successors are deduplicated against the visited table before
-    the next state is expanded, so a level's duplicate children are never
-    held at once; with more than one worker and a frontier of more than
-    64 states, the level is expanded in a process pool instead and its
-    results are merged in the same frontier order.
+    The search expands the class graph level by level, in one process;
+    each state's successors are deduplicated against the visited table
+    before the next state is expanded.
 
     Returns a SearchOutcome: "found" with a verified certificate,
     "exhausted" when every class within the bounds was explored, or
-    "inconclusive" when the dedup table exceeded its capacity.  Outcome,
-    visited counts and certificate are deterministic for a fixed config,
-    independent of the worker count.
+    "inconclusive" when a new class found the visited table full.  The
+    table holds at most `dedup_capacity` classes; a duplicate needs no
+    room.  A full table stops the level at once, and a trivial class
+    inserted before that still gives "found".  Outcome, visited counts
+    and certificate are deterministic for a fixed config.
 
     `progress`, if given, is called as progress(depth, visited, frontier)
     at each depth boundary; it must not influence the search.
@@ -349,51 +345,44 @@ def search(start, cfg, progress=None):
 
     frontier = [start_state]
     depth = 0
-    workers = min(cfg.workers, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier and depth < D:
-            depth += 1
-            if pool is not None and len(frontier) > 64:
-                # about four chunks per worker; results come back in order
-                expand = functools.partial(pool.map,
-                                           chunksize=-(-len(frontier) // (4 * workers)))
-            else:
-                expand = map  # lazy: one state's successors at a time
-            expansion = expand(_successors, frontier, repeat(L), repeat(cfg.move_regime))
+    while frontier and depth < D:
+        depth += 1
+        # lazy: one state's successors at a time
+        expansion = map(_successors, frontier, repeat(L), repeat(cfg.move_regime))
 
-            found = None
-            new_states = []
-            for parent, successors in zip(frontier, expansion):
-                for edge, child in successors:
-                    if child in visited:
-                        continue
-                    visited[child] = (parent, edge)
-                    new_states.append(child)
-                    if found is None and _is_trivial_state(child):
-                        found = child
+        found = None
+        full = False
+        new_states = []
+        for parent, successors in zip(frontier, expansion):
+            for edge, child in successors:
+                if child in visited:
+                    continue
+                if len(visited) >= cfg.dedup_capacity:
+                    full = True
+                    break
+                visited[child] = (parent, edge)
+                new_states.append(child)
+                if found is None and _is_trivial_state(child):
+                    found = child
+            if full:
+                break
 
-            stats.visited = len(visited)
-            stats.frontier_peak = max(stats.frontier_peak, len(new_states))
-            stats.depth_reached = depth
-            if progress is not None:
-                progress(depth, len(visited), len(new_states))
-            if found is not None:
-                cert = _expand_certificate(start, _reconstruct_path(visited, found))
-                report = verify(cert)
-                if not report.ok:
-                    raise RuntimeError("internal error: found certificate failed to verify: %s"
-                                       % (report.reason,))
-                return SearchOutcome("found", cert, stats)
-            # capacity is a soft ceiling checked at level boundaries so the
-            # outcome stays deterministic across worker counts
-            if len(visited) > cfg.dedup_capacity:
-                return SearchOutcome("inconclusive", None, stats)
-            frontier = new_states
-        return SearchOutcome("exhausted", None, stats)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        stats.visited = len(visited)
+        stats.frontier_peak = max(stats.frontier_peak, len(new_states))
+        stats.depth_reached = depth
+        if progress is not None:
+            progress(depth, len(visited), len(new_states))
+        if found is not None:
+            cert = _expand_certificate(start, _reconstruct_path(visited, found))
+            report = verify(cert)
+            if not report.ok:
+                raise RuntimeError("internal error: found certificate failed to verify: %s"
+                                   % (report.reason,))
+            return SearchOutcome("found", cert, stats)
+        if full:
+            return SearchOutcome("inconclusive", None, stats)
+        frontier = new_states
+    return SearchOutcome("exhausted", None, stats)
 
 
 def hybrid_trivialize(start, prefix, cfg, progress=None):

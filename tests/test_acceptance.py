@@ -5,7 +5,10 @@ summary) of the form "criterion N: PASS/FAIL — name: detail"; timed
 criteria include the measured runtime against the stated ceiling.
 """
 
+import contextlib
 import functools
+import io
+import json
 import math
 import random
 import time
@@ -14,7 +17,7 @@ import pytest
 
 import _acceptance_report
 from naive_bfs import naive_search, scan_reduce
-from ackirby import _kernel
+from ackirby import _kernel, cli
 from ackirby._intdet import integer_determinant
 from ackirby.curves import (
     PunctureLabeling,
@@ -52,7 +55,7 @@ from ackirby.presentations import (
     apply_move,
     is_trivial_presentation,
 )
-from ackirby.search import SearchConfig, hybrid_trivialize, search, verify
+from ackirby.search import SearchConfig, hybrid_trivialize, outcome_to_dict, search, verify
 from ackirby.words import Word, cyclic_reduce, format_word, parse_word, reduce_word
 
 
@@ -154,25 +157,31 @@ def test_criterion_04_exhaustion_determinism():
     counts = {out.stats.visited for out in runs}
     assert len(counts) == 1, counts
 
-    wide = search(P, SearchConfig(max_total_length=13, max_depth=8, workers=4))
-    assert wide.status == "exhausted"
-    assert wide.stats.visited == runs[0].stats.visited
-
     status, visited = naive_search(
         P.rank, [r.letters for r in P.relators], 13, 8)
     assert status == "exhausted"
     assert visited == runs[0].stats.visited
 
-    # at L=16 the frontier passes 64 states, so the 2-worker run fans out
-    deep = [search(P, SearchConfig(max_total_length=16, max_depth=8, workers=w))
-            for w in (1, 2)]
-    for out in deep:
-        assert (out.status, out.stats.visited) == ("exhausted", 487)
-        assert out.stats.frontier_peak == 410
+    # at L=16 a level holds up to 410 states; the CLI records the worker
+    # count, and the outcome must not depend on it
+    outcomes = []
+    for w in (1, 2, 4):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["search", "--family", "n=3", "--max-len", "16",
+                             "--max-depth", "8", "--workers", str(w)])
+        doc = json.loads(stdout.getvalue())
+        assert (code, doc["config"]["workers"]) == (cli.EXIT_NEGATIVE, w)
+        outcomes.append(doc["outcome"])
+    deep = outcome_to_dict(search(P, SearchConfig(max_total_length=16, max_depth=8)))
+    assert outcomes == [deep] * 3
+    assert (deep["status"], deep["stats"]["visited"], deep["stats"]["frontier_peak"]) \
+        == ("exhausted", 487, 410)
     assert naive_search(P.rank, [r.letters for r in P.relators], 16, 8) \
         == ("exhausted", 487)
-    return ("visited=%d over 5 runs, 4 workers, and the naive enumerator;"
-            " L=16: visited=487 at 1 and 2 workers and in the naive enumerator"
+    return ("visited=%d over 5 runs and the naive enumerator;"
+            " L=16: visited=487, frontier peak 410, the same outcome at"
+            " --workers 1, 2 and 4 and in the naive enumerator"
             % runs[0].stats.visited)
 
 

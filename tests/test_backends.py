@@ -7,9 +7,9 @@ directory, with `-Wall`, and any compiler warning fails the build.  The
 function tests load that `_kernel_c` without registering it in
 `sys.modules`, so the rest of the suite keeps the kernel it selected;
 the selection and whole-search tests run fresh interpreters on the
-built package.  The fallback from an incomplete compiled kernel, and the
-budget and relator-order tests at the end, need no compiler: the latter
-run on whichever kernel `ackirby._kernel` selected.
+built package.  The fallback from an incomplete or stale compiled
+kernel, and the budget and relator-order tests at the end, need no
+compiler: the latter run on whichever kernel `ackirby._kernel` selected.
 """
 
 import importlib.util
@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import zlib
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,35 @@ class TestSelection:
                      "ackirby.SearchConfig(max_total_length=9, max_depth=8)).status)",
                      pure=False, tree=tmp_path)
         assert out.split() == ["python", "found"]
+
+    @pytest.mark.parametrize("offset, backend", [(0, "c"), (1, "python")],
+                             ids=("same_source", "other_source"))
+    def test_kernel_checked_against_source_beside_it(self, tmp_path, offset, backend):
+        """With `_kernel_c.c` next to it, a `_kernel_c` whose recorded
+        CRC-32 is not that of the file counts as absent."""
+        shutil.copytree(ROOT / "src" / "ackirby", tmp_path / "ackirby",
+                        ignore=shutil.ignore_patterns("__pycache__", "_kernel_c.*.so"))
+        crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
+        (tmp_path / "ackirby" / "_kernel_c.py").write_text(
+            "from ackirby._kernel_py import (\n"
+            "    canonical_relator, expand_multiply, invert_word, reduce_word, sort_relators)\n"
+            "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
+        out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
+        assert out.strip() == backend
+
+    @needs_compiler
+    def test_build_of_other_source_falls_back(self, built_tree, tmp_path):
+        """A build next to a `_kernel_c.c` it was not built from, such as
+        an in-place build left over from another version, is not used."""
+        tree = tmp_path / "lib"
+        shutil.copytree(built_tree, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        source = tree / "ackirby" / "_kernel_c.c"
+        shutil.copyfile(ROOT / "src" / "ackirby" / "_kernel_c.c", source)
+        code = "import ackirby; print(ackirby.BACKEND)"
+        assert run_py(code, pure=False, tree=tree).strip() == "c"
+        text = source.read_bytes()
+        source.write_bytes(text[:-1] + bytes([text[-1] ^ 1]))
+        assert run_py(code, pure=False, tree=tree).strip() == "python"
 
 
 @needs_compiler

@@ -150,6 +150,22 @@ class TestSearchCommand:
         assert r.stdout == ""
         assert message in r.stderr
 
+    def test_workers_are_recorded_but_inert(self):
+        """The search runs in one process; --workers only shows up as
+        the value recorded in the output."""
+        args = ("search", "--family", "n=2", "--max-len", "12", "--max-depth", "4")
+        one, three = run(*args, "--workers", "1"), run(*args, "--workers", "3")
+        assert one.returncode == three.returncode == 1
+        d1, d3 = json.loads(one.stdout), json.loads(three.stdout)
+        assert (d1["config"].pop("workers"), d3["config"].pop("workers")) == (1, 3)
+        assert d1 == d3
+        assert d1["outcome"]["status"] == "exhausted"
+        t1 = run(*args, "--workers", "1", "--format", "text").stdout.splitlines()
+        t3 = run(*args, "--workers", "3", "--format", "text").stdout.splitlines()
+        assert [line for line in t1 if line != "workers: 1"] \
+            == [line for line in t3 if line != "workers: 3"]
+        assert "workers: 1" in t1 and "workers: 3" in t3
+
     def test_zero_depth_is_in_range(self):
         r = run("search", "--pres", "2; xY; y", "--max-len", "8", "--max-depth", "0")
         assert r.returncode == 1
@@ -314,14 +330,18 @@ class TestFamilyCommands:
         ]
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--workers", "0", "--workers must be >= 1, got 0"),
         ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),
-    ], ids=("workers", "max_depth"))
+    ], ids=("max_depth",))
     def test_report_out_of_range_flag_is_usage_error(self, flag, value, message):
         r = run("family", "report", "--n-max", "0", "--max-len", "8", flag, value)
         assert r.returncode == 2
         assert r.stdout == ""
         assert message in r.stderr
+
+    def test_report_has_no_workers_flag(self):
+        r = run("family", "report", "--n-max", "0", "--workers", "1")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --workers" in r.stderr
 
     def test_gersten_prefix_only(self, tmp_path):
         f = tmp_path / "prefix.json"
@@ -423,3 +443,16 @@ class TestTopLevel:
         r = run("--help")
         assert r.returncode == 0
         assert "search" in r.stdout
+
+    def test_import_loads_no_process_machinery(self):
+        """Every search runs in one process, so the CLI has no use for
+        multiprocessing or concurrent.futures, whose import would only
+        slow each start."""
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ackirby.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent')))"],
+            capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"

@@ -116,8 +116,32 @@ class TestSearchOutcomes:
         out = search(presentation_Ln1(1), cfg(15, 24, dedup_capacity=100))
         assert out.status == "inconclusive"
         assert out.certificate is None
+        assert out.stats.visited == 100  # a hard limit, not checked per level
         again = search(presentation_Ln1(1), cfg(15, 24, dedup_capacity=100))
         assert again.stats.visited == out.stats.visited
+
+    def test_capacity_keeps_a_trivial_class_already_inserted(self):
+        # the uncapped search finds at depth 1, the trivial class being
+        # the 8th visited of 12
+        start = presentation_Ln1(0)
+        whole = search(start, cfg(13, 20))
+        assert (whole.status, whole.stats.visited) == ("found", 12)
+        out = search(start, cfg(13, 20, dedup_capacity=8))
+        assert (out.status, out.stats.visited) == ("found", 8)
+        assert out.certificate == whole.certificate and verify(out.certificate).ok
+        short = search(start, cfg(13, 20, dedup_capacity=7))
+        assert (short.status, short.stats.visited) == ("inconclusive", 7)
+
+    def test_capacity_that_fits_every_class_exhausts(self):
+        start = presentation_Ln1(3)
+        out = search(start, cfg(16, 8, dedup_capacity=487))
+        assert (out.status, out.stats.visited) == ("exhausted", 487)
+        out = search(start, cfg(16, 8, dedup_capacity=486))
+        assert (out.status, out.stats.visited) == ("inconclusive", 486)
+
+    def test_capacity_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            search(P("1; x"), cfg(2, 1, dedup_capacity=0))
 
     def test_bound_below_start_rejected(self):
         with pytest.raises(ValueError):
@@ -128,11 +152,6 @@ class TestSearchOutcomes:
         assert (out.status, out.stats.visited) == ("found", 2676)
         assert len(out.certificate.moves) == 51
         assert verify(out.certificate).ok
-
-    def test_workers_below_one_rejected(self):
-        for workers in (0, -2):
-            with pytest.raises(ValueError):
-                search(P("1; x"), cfg(2, 1, workers=workers))
 
     def test_invalid_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -147,49 +166,6 @@ class TestDeterminism:
         assert len({r.stats.visited for r in results}) == 1
         moves = {tuple(r.certificate.moves) for r in results}
         assert len(moves) == 1  # sequential certificates are deterministic
-
-    def test_workers_change_nothing_observable(self):
-        start = presentation_Ln1(1)
-        seq = search(start, cfg(13, 6))
-        par = search(start, cfg(13, 6, workers=2))
-        assert (seq.status, seq.stats.visited) == (par.status, par.stats.visited)
-        assert par.found and verify(par.certificate).ok
-        assert par.certificate == seq.certificate
-
-    def test_workers_on_exhausted_case(self):
-        start = presentation_Ln1(2)
-        seq = search(start, cfg(12, 4))
-        par = search(start, cfg(12, 4, workers=3))
-        assert seq.status == par.status == "exhausted"
-        assert seq.stats.visited == par.stats.visited
-
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        sizes, maps = [], []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, *iterables, chunksize=1):
-                maps.append((len(iterables[0]), chunksize))
-                return map(fn, *iterables)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", InProcessPool)
-        # level 4 has 129 states, above the fan-out threshold of 64
-        start = presentation_Ln1(2)
-        for cpus, want in ((2, [2]), (None, [])):
-            sizes.clear()
-            maps.clear()
-            monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
-            out = search(start, cfg(12, 5, move_regime="extended", workers=10**6))
-            assert sizes == want
-            assert bool(maps) == bool(want)
-            # about four chunks per worker
-            assert all(size == -(-frontier // (4 * 2)) for frontier, size in maps)
-            assert (out.status, out.stats.visited) == ("exhausted", 712)
 
     def test_expansion_is_streamed(self, monkeypatch):
         """In-process, each state's successors are deduplicated before
@@ -262,7 +238,7 @@ class TestHybrid:
         start = P("2; xY; y")
         prefix = MoveCertificate(start, (MultiplyRelator(1, 2, "right"),))
         with pytest.raises(ValueError):
-            hybrid_trivialize(start, prefix, cfg(4, 2, workers=0))
+            hybrid_trivialize(start, prefix, cfg(4, -1))
 
     def test_wrong_start_rejected(self):
         prefix = MoveCertificate(P("2; x; y"), ())

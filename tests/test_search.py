@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 
 import pytest
@@ -26,6 +28,7 @@ from ackirby.search import (
     search,
     verify,
 )
+from ackirby import cli
 from ackirby.family import gersten_certificate, gersten_prefix_certificate, presentation_Ln1
 from ackirby.words import Word, parse_word
 
@@ -39,6 +42,16 @@ def P(text):
 
 def cfg(L, D, **kw):
     return SearchConfig(max_total_length=L, max_depth=D, **kw)
+
+
+def cli_search(n, L, D, workers):
+    """Run `ackirby search` on L_{n,1} in-process; return the exit code
+    and the JSON document it prints."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["search", "--family", "n=%d" % n, "--max-len", str(L),
+                         "--max-depth", str(D), "--workers", str(workers)])
+    return code, json.loads(stdout.getvalue())
 
 
 class TestVerify:
@@ -166,6 +179,21 @@ class TestDeterminism:
         assert len({r.stats.visited for r in results}) == 1
         moves = {tuple(r.certificate.moves) for r in results}
         assert len(moves) == 1  # sequential certificates are deterministic
+
+    def test_workers_change_nothing_observable(self):
+        seq = outcome_to_dict(search(presentation_Ln1(1), cfg(13, 6)))
+        code, par = cli_search(1, 13, 6, workers=2)
+        assert (code, par["config"]["workers"]) == (cli.EXIT_OK, 2)
+        assert par["outcome"] == seq
+        assert seq["status"] == "found"
+        assert verify(certificate_from_dict(par["outcome"]["certificate"])).ok
+
+    def test_workers_on_exhausted_case(self):
+        seq = search(presentation_Ln1(2), cfg(12, 4))
+        code, par = cli_search(2, 12, 4, workers=3)
+        assert (code, par["config"]["workers"]) == (cli.EXIT_NEGATIVE, 3)
+        assert seq.status == par["outcome"]["status"] == "exhausted"
+        assert seq.stats.visited == par["outcome"]["stats"]["visited"]
 
     def test_expansion_is_streamed(self, monkeypatch):
         """In-process, each state's successors are deduplicated before

@@ -195,15 +195,13 @@ def _cmd_word(args):
 
 
 def _cmd_pres(args):
+    P = parse_presentation(args.pres if args.pres is not None
+                           else _read_text(args.infile))
     if args.op == "canon":
-        P = parse_presentation(args.pres if args.pres is not None
-                               else _read_text(args.infile))
         text = presentation_to_text(canonical_presentation(P))
         _emit(args, {"presentation": text}, [text])
         return EXIT_OK
     if args.op == "info":
-        P = parse_presentation(args.pres if args.pres is not None
-                               else _read_text(args.infile))
         A = abelianization_matrix(P)
         det = integer_determinant(A)
         trivial = is_trivial_presentation(P)
@@ -229,8 +227,6 @@ def _cmd_pres(args):
         _emit(args, doc, lines)
         return EXIT_OK
     # apply
-    P = parse_presentation(args.pres if args.pres is not None
-                           else _read_text(args.infile))
     moves = [move_from_dict(d) for d in json.loads(_read_text(args.moves))]
     for move in moves:
         P = apply_move(P, move)

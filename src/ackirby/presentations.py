@@ -11,10 +11,10 @@ words.  Moves come in two regimes:
 MultiplyByConjugate and Composite are scripting macros that expand to
 atomic moves.  All moves are invertible; see inverse_move.
 
-apply_move defines the relator moves and Stabilize.  The generator-level
-moves (Destabilize and the basis changes) are defined once, in
-generator_move, as generator maps applied by map_generators; apply_move
-and the search's successors (search._successors) both call it.
+Every atomic move is defined once, in atomic_move, on a rank and its
+relator letter tuples; the generator-level moves are generator maps
+applied by map_generators.  apply_move, the search's successors
+(search._successors) and certificate expansion all call it.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ class Presentation:
     __slots__ = ("_rank", "_relators")
 
     def __init__(self, rank, relators):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer, got %r" % (rank,))
         relators = tuple(Word(r) for r in relators)
         if len(relators) != rank:
@@ -153,7 +153,8 @@ MACRO_MOVE_TYPES = (MultiplyByConjugate, Composite)
 
 
 def _check_index(rank, idx, name="relator index"):
-    if not isinstance(idx, int) or not 1 <= idx <= rank:
+    # bool is an int subclass: `type` keeps True from acting as index 1
+    if type(idx) is not int or not 1 <= idx <= rank:
         raise MoveError("%s %r out of range 1..%d" % (name, idx, rank))
 
 
@@ -165,7 +166,7 @@ def expand_macro(move):
             out.extend(expand_macro(m))
         return out
     if isinstance(move, MultiplyByConjugate):
-        if move.sign not in (1, -1):
+        if type(move.sign) is not int or move.sign not in (1, -1):
             raise MoveError("conjugate-multiply sign must be +1 or -1, got %r" % (move.sign,))
         c = Word(move.conjugator)
         atoms = []
@@ -195,47 +196,7 @@ def apply_move(P, move):
         for m in expand_macro(move):
             P = apply_move(P, m)
         return P
-
-    rels = list(P.relators)
-    n = P.rank
-
-    if isinstance(move, InvertRelator):
-        _check_index(n, move.i)
-        rels[move.i - 1] = rels[move.i - 1].inverse()
-        return Presentation(n, rels)
-
-    if isinstance(move, MultiplyRelator):
-        _check_index(n, move.i)
-        _check_index(n, move.j)
-        if move.i == move.j:
-            raise MoveError("multiply needs two distinct relators, got i = j = %d" % move.i)
-        if move.side not in ("left", "right"):
-            raise MoveError("multiply side must be 'left' or 'right', got %r" % (move.side,))
-        ri, rj = rels[move.i - 1], rels[move.j - 1]
-        rels[move.i - 1] = ri * rj if move.side == "right" else rj * ri
-        return Presentation(n, rels)
-
-    if isinstance(move, ConjugateRelator):
-        _check_index(n, move.i)
-        a = move.letter
-        if not isinstance(a, int) or a == 0 or abs(a) > n:
-            raise MoveError("conjugating letter %r is not a generator of rank %d" % (a, n))
-        rels[move.i - 1] = Word((a,)) * rels[move.i - 1] * Word((-a,))
-        return Presentation(n, rels)
-
-    if isinstance(move, SwapRelators):
-        _check_index(n, move.i)
-        _check_index(n, move.j)
-        if move.i == move.j:
-            raise MoveError("swap needs two distinct relators, got i = j = %d" % move.i)
-        a, b = move.i - 1, move.j - 1
-        rels[a], rels[b] = rels[b], rels[a]
-        return Presentation(n, rels)
-
-    if isinstance(move, Stabilize):
-        return Presentation(n + 1, rels + [Word((n + 1,))])
-
-    rank, letters = generator_move(n, tuple(r.letters for r in rels), move)
+    rank, letters = atomic_move(P.rank, tuple(r.letters for r in P.relators), move)
     return Presentation(rank, [Word._from_reduced(r) for r in letters])
 
 
@@ -267,16 +228,20 @@ def map_generators(relators, images):
     return tuple(out)
 
 
-def generator_move(rank, relators, move):
-    """Apply a generator-level move to a rank and its relator letter tuples.
+def atomic_move(rank, relators, move):
+    """Apply an atomic move to a rank and its relator letter tuples.
 
-    The move is a Destabilize, NielsenGenerator, InvertGenerator or
-    SwapGenerators; a failed precondition raises MoveError.  Returns the
-    new rank and relators, each freely reduced (not canonicalized).
+    This is the one definition of every atomic move.  A failed
+    precondition raises MoveError.  Returns the new rank and relators,
+    each freely reduced (not canonicalized); the relators must be
+    freely reduced on input.
 
-    >>> generator_move(2, ((1,), (2, 2)), Destabilize(1))
+    >>> atomic_move(2, ((1,), (2, 2)), Destabilize(1))
     (1, ((1, 1),))
+    >>> atomic_move(2, ((1, 2), (-2,)), MultiplyRelator(1, 2, "right"))
+    (2, ((1,), (-2,)))
     """
+    # generator-level moves first: the search calls them most
     if isinstance(move, Destabilize):
         i = move.i
         _check_index(rank, i)
@@ -301,21 +266,50 @@ def generator_move(rank, relators, move):
         _check_index(rank, move.j, "generator index")
         if move.i == move.j:
             raise MoveError("Nielsen move needs two distinct generators, got i = j = %d" % move.i)
-        if move.sign not in (1, -1):
+        if type(move.sign) is not int or move.sign not in (1, -1):
             raise MoveError("Nielsen sign must be +1 or -1, got %r" % (move.sign,))
-        images = {move.i: (move.i, move.sign * move.j)}
-    elif isinstance(move, InvertGenerator):
+        return rank, map_generators(relators, {move.i: (move.i, move.sign * move.j)})
+    if isinstance(move, InvertGenerator):
         _check_index(rank, move.i, "generator index")
-        images = {move.i: (-move.i,)}
-    elif isinstance(move, SwapGenerators):
+        return rank, map_generators(relators, {move.i: (-move.i,)})
+    if isinstance(move, SwapGenerators):
         _check_index(rank, move.i, "generator index")
         _check_index(rank, move.j, "generator index")
         if move.i == move.j:
             raise MoveError("swap needs two distinct generators, got i = j = %d" % move.i)
-        images = {move.i: (move.j,), move.j: (move.i,)}
+        return rank, map_generators(relators, {move.i: (move.j,), move.j: (move.i,)})
+    if isinstance(move, Stabilize):
+        return rank + 1, tuple(relators) + ((rank + 1,),)
+
+    rels = list(relators)
+    if isinstance(move, InvertRelator):
+        _check_index(rank, move.i)
+        rels[move.i - 1] = _kernel.invert_word(rels[move.i - 1])
+    elif isinstance(move, MultiplyRelator):
+        _check_index(rank, move.i)
+        _check_index(rank, move.j)
+        if move.i == move.j:
+            raise MoveError("multiply needs two distinct relators, got i = j = %d" % move.i)
+        if move.side not in ("left", "right"):
+            raise MoveError("multiply side must be 'left' or 'right', got %r" % (move.side,))
+        ri, rj = rels[move.i - 1], rels[move.j - 1]
+        rels[move.i - 1] = _kernel.reduce_word(ri + rj if move.side == "right" else rj + ri)
+    elif isinstance(move, ConjugateRelator):
+        _check_index(rank, move.i)
+        a = move.letter
+        if type(a) is not int or a == 0 or abs(a) > rank:
+            raise MoveError("conjugating letter %r is not a generator of rank %d" % (a, rank))
+        rels[move.i - 1] = _kernel.reduce_word((a,) + rels[move.i - 1] + (-a,))
+    elif isinstance(move, SwapRelators):
+        _check_index(rank, move.i)
+        _check_index(rank, move.j)
+        if move.i == move.j:
+            raise MoveError("swap needs two distinct relators, got i = j = %d" % move.i)
+        a, b = move.i - 1, move.j - 1
+        rels[a], rels[b] = rels[b], rels[a]
     else:
         raise MoveError("unknown move %r" % (move,))
-    return rank, map_generators(relators, images)
+    return rank, tuple(rels)
 
 
 def inverse_move(move, context):

@@ -12,20 +12,20 @@ implicit; when a certificate is extracted, every class step is expanded
 into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
-The multiplication and stabilization edges are built here (the
-products by `_kernel.expand_multiply`, which also drops every product
-longer than the relator's share of max_total_length before it
-canonicalizes it); destabilization and the
-generator basis changes are presentations.generator_move, the same
-definition apply_move replays, so a class edge and its atomic moves
-cannot drift apart.
+The multiplication edges are built here (the products by
+`_kernel.expand_multiply`, which also drops every product longer than
+the relator's share of max_total_length before it canonicalizes it).
+Every other edge, and every atomic move of an expanded certificate, is
+presentations.atomic_move, the one definition of each atomic move that
+apply_move replays, so a class edge and its atomic moves cannot drift
+apart.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -43,8 +43,8 @@ from ackirby.presentations import (
     SwapGenerators,
     SwapRelators,
     apply_move,
+    atomic_move,
     canonical_form,
-    generator_move,
     is_trivial_presentation,
     move_from_dict,
     move_to_dict,
@@ -175,22 +175,23 @@ def _successors(state, max_len, regime):
 
     # stabilize
     if total + 1 <= max_len:
-        out.append((("stab",), (rank + 1, sort_relators(rels + ((rank + 1,),)))))
+        grown, grown_rels = atomic_move(rank, rels, Stabilize())
+        out.append((("stab",), (grown, sort_relators(grown_rels))))
 
-    # destabilize relator i when it is a single letter; generator_move
+    # destabilize relator i when it is a single letter; atomic_move
     # rejects the move when that generator occurs in another relator.
     # Renumbering keeps canonical relators canonical and sorted.
     for i in range(1, rank + 1):
         if len(rels[i - 1]) == 1:
             try:
-                child = generator_move(rank, rels, Destabilize(i))
+                child = atomic_move(rank, rels, Destabilize(i))
             except MoveError:
                 continue
             out.append((("destab", i), child))
 
     if regime == "extended":
         for edge, move in _basis_change_edges(rank):
-            _, mapped = generator_move(rank, rels, move)
+            _, mapped = atomic_move(rank, rels, move)
             child = (rank, sort_relators(map(_kernel.canonical_relator, mapped)))
             # only a Nielsen move can lengthen the presentation
             if _state_total(child) <= max_len:
@@ -202,77 +203,61 @@ def _successors(state, max_len, regime):
 # ---------------------------------------------------------------------------
 # Certificate expansion: class path -> atomic moves
 
-def _canonicalization_moves(P):
-    """Bookkeeping moves bringing P to its canonical representative."""
-    moves = []
-
-    def emit(mv, Q):
-        moves.append(mv)
-        return apply_move(Q, mv)
-
-    for i in range(1, P.rank + 1):
-        # cyclically reduce relator i
-        r = P.relators[i - 1].letters
-        while len(r) >= 2 and r[0] == -r[-1]:
-            P = emit(ConjugateRelator(i, -r[0]), P)
-            r = P.relators[i - 1].letters
-        if not r:
-            continue
-        target = _kernel.canonical_relator(r)
-        rotations = {r[s:] + r[:s] for s in range(len(r))}
-        if target not in rotations:
-            P = emit(InvertRelator(i), P)
-            r = P.relators[i - 1].letters
-        while P.relators[i - 1].letters != target:
-            P = emit(ConjugateRelator(i, -P.relators[i - 1].letters[0]), P)
-    # sort relators by the canonical order; relators pos.. always hold
-    # target[pos - 1:], so the first match is the first least relator
-    target = _kernel.sort_relators([r.letters for r in P.relators])
-    for pos in range(1, P.rank + 1):
-        best = next(t for t in range(pos, P.rank + 1)
-                    if P.relators[t - 1].letters == target[pos - 1])
-        if best != pos:
-            P = emit(SwapRelators(pos, best), P)
-    return moves, P
-
-
-def _edge_moves(P, edge):
-    """Atomic moves realizing a class edge from the canonical
-    representative P; returns (moves, presentation after them)."""
-    moves = []
-
-    def emit(mv, Q):
-        moves.append(mv)
-        return apply_move(Q, mv)
-
-    kind = edge[0]
-    if kind == "mul":
-        _, i, j, p, eps, q = edge
-        for _ in range(p):
-            P = emit(ConjugateRelator(i, -P.relators[i - 1].letters[0]), P)
-        if eps == -1:
-            P = emit(InvertRelator(j), P)
-        for _ in range(q):
-            P = emit(ConjugateRelator(j, -P.relators[j - 1].letters[0]), P)
-        P = emit(MultiplyRelator(i, j, "right"), P)
-    elif kind == "stab":
-        P = emit(Stabilize(), P)
-    elif kind in _GENERATOR_EDGES:
-        P = emit(_GENERATOR_EDGES[kind](*edge[1:]), P)
-    else:
-        raise RuntimeError("unknown edge %r" % (kind,))
-    return moves, P
-
-
 def _expand_certificate(start, path):
-    """Turn a class-edge path into a replayable atomic certificate."""
-    moves, P = _canonicalization_moves(start)
+    """Turn a class-edge path into a replayable atomic certificate.
+
+    The moves are simulated by atomic_move on the rank and relator
+    letter tuples: bookkeeping moves bring each presentation on the path
+    to its canonical representative, from which the next class edge is
+    realized.
+    """
+    moves = []
+    rank, rels = start.rank, tuple(r.letters for r in start.relators)
+
+    def emit(move):
+        nonlocal rank, rels
+        moves.append(move)
+        rank, rels = atomic_move(rank, rels, move)
+
+    def canonicalize():
+        for i in range(1, rank + 1):
+            # cyclically reduce relator i
+            while len(rels[i - 1]) >= 2 and rels[i - 1][0] == -rels[i - 1][-1]:
+                emit(ConjugateRelator(i, -rels[i - 1][0]))
+            r = rels[i - 1]
+            if not r:
+                continue
+            target = _kernel.canonical_relator(r)
+            if target not in {r[s:] + r[:s] for s in range(len(r))}:
+                emit(InvertRelator(i))
+            while rels[i - 1] != target:
+                emit(ConjugateRelator(i, -rels[i - 1][0]))
+        # sort relators by the canonical order; relators pos.. always hold
+        # target[pos - 1:], so the first match is the first least relator
+        target = _kernel.sort_relators(rels)
+        for pos in range(1, rank + 1):
+            best = next(t for t in range(pos, rank + 1) if rels[t - 1] == target[pos - 1])
+            if best != pos:
+                emit(SwapRelators(pos, best))
+
+    canonicalize()
     for edge, child_state in path:
-        ms, P = _edge_moves(P, edge)
-        moves.extend(ms)
-        ms, P = _canonicalization_moves(P)
-        moves.extend(ms)
-        if canonical_form(P) != child_state:
+        kind = edge[0]
+        if kind == "mul":
+            _, i, j, p, eps, q = edge
+            for _ in range(p):
+                emit(ConjugateRelator(i, -rels[i - 1][0]))
+            if eps == -1:
+                emit(InvertRelator(j))
+            for _ in range(q):
+                emit(ConjugateRelator(j, -rels[j - 1][0]))
+            emit(MultiplyRelator(i, j, "right"))
+        elif kind == "stab":
+            emit(Stabilize())
+        else:
+            emit(_GENERATOR_EDGES[kind](*edge[1:]))
+        canonicalize()
+        if (rank, rels) != child_state:
             raise RuntimeError("certificate expansion diverged from the class path")
     return MoveCertificate(start, tuple(moves))
 
@@ -425,12 +410,7 @@ def certificate_from_dict(doc):
 
 
 def outcome_to_dict(outcome):
-    doc = {"status": outcome.status,
-           "stats": {"visited": outcome.stats.visited,
-                     "frontier_peak": outcome.stats.frontier_peak,
-                     "max_total_length": outcome.stats.max_total_length,
-                     "max_depth": outcome.stats.max_depth,
-                     "depth_reached": outcome.stats.depth_reached}}
+    doc = {"status": outcome.status, "stats": asdict(outcome.stats)}
     doc["certificate"] = (certificate_to_dict(outcome.certificate)
                           if outcome.certificate is not None else None)
     return doc

@@ -27,7 +27,9 @@ class WordError(ValueError):
 
 def _check_letters(letters):
     for v in letters:
-        if not isinstance(v, int) or v == 0:
+        # `type` rejects bool and other int subclasses, which the pure
+        # kernel would keep as they are and the compiled one would not
+        if type(v) is not int or v == 0:
             raise WordError("letters must be nonzero integers, got %r" % (v,))
         if abs(v) > MAX_GENERATOR:
             raise WordError("generator index %d exceeds %d" % (abs(v), MAX_GENERATOR))

@@ -12,6 +12,7 @@ kernel, and the budget and relator-order tests at the end, need no
 compiler: the latter run on whichever kernel `ackirby._kernel` selected.
 """
 
+import gc
 import importlib.util
 import os
 import re
@@ -20,7 +21,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 import zlib
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -240,6 +243,42 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
         assert ck.expand_multiply((v,), (1,)) == pk.expand_multiply((v,), (1,))
         rels = [(1, v), (v,), (1,), (v, 1)]
         assert ck.sort_relators(rels) == pk.sort_relators(rels)
+
+
+LEAK_CALLS = 10**5
+LEAK_BOUND = 64 * 1024   # bytes; one leaked tuple per call is over 4 MB
+
+
+@needs_compiler
+def test_compiled_kernel_does_not_leak(ck):
+    """Each kernel function, called LEAK_CALLS times on fixed inputs,
+    leaves the inputs' reference counts as they were and leaves no
+    traced allocation behind.  The letters lie above the small-int
+    cache, so every letter the kernel boxes is a fresh allocation."""
+    a, b, c = 300, 301, 302
+    rels = [(a, b, -a), (c,), (a, a, -b), (c,)]
+    calls = (
+        (ck.reduce_word, ((a, b, -b, c, -a, a),)),
+        (ck.invert_word, ((a, b, -c),)),
+        (ck.canonical_relator, ((b, a, -b, a, a),)),
+        (ck.sort_relators, (rels,)),
+        (ck.expand_multiply, (pk.canonical_relator((a, b)), (b,), 6)),
+    )
+    for fn, args in calls:
+        watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
+        fn(*args)
+        before = [sys.getrefcount(obj) for obj in watched]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in repeat(None, LEAK_CALLS):
+                fn(*args)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert [sys.getrefcount(obj) for obj in watched] == before, fn.__name__
+        assert grown < LEAK_BOUND, (fn.__name__, grown)
 
 
 def _public_functions(module):

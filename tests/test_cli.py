@@ -100,7 +100,14 @@ class TestPresCommands:
         [{"type": "invert_relator", "i": 1, "x": 2}],
         [5],
         [{"type": "composite", "moves": [{"type": "swap_relators", "i": 1}]}],
-    ], ids=("missing_field", "extra_field", "not_an_object", "bad_nested_record"))
+        [{"type": "invert_relator", "i": True}],
+        [{"type": "conjugate_relator", "i": 1, "letter": True}],
+        [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": True}],
+        [{"type": "multiply_by_conjugate", "i": 1, "j": 2, "conjugator": "x", "sign": True}],
+        [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": 1.0}],
+    ], ids=("missing_field", "extra_field", "not_an_object", "bad_nested_record",
+            "bool_index", "bool_letter", "bool_nielsen_sign", "bool_conjugate_sign",
+            "float_nielsen_sign"))
     def test_malformed_move_record_is_input_error(self, moves):
         r = run("pres", "apply", "--pres", "2; xy; y", "--moves", "-",
                 stdin=json.dumps(moves))
@@ -283,7 +290,8 @@ class TestVerifyCommand:
         [],
         {"start": {"rank": 2}, "moves": []},
         {"start": {"rank": 2, "relators": ["x", "y"]}, "moves": [{"type": "stabilize", "i": 1}]},
-    ], ids=("no_start", "not_an_object", "bad_start", "bad_move"))
+        {"start": {"rank": True, "relators": ["x"]}, "moves": []},
+    ], ids=("no_start", "not_an_object", "bad_start", "bad_move", "bool_rank"))
     def test_malformed_certificate_is_input_error(self, doc):
         r = run("verify", "--cert", "-", stdin=json.dumps(doc))
         assert r.returncode == 1

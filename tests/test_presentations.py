@@ -20,6 +20,7 @@ from ackirby.presentations import (
     SwapRelators,
     abelianization_matrix,
     apply_move,
+    atomic_move,
     canonical_form,
     canonical_presentation,
     expand_macro,
@@ -140,7 +141,7 @@ class TestApplyMove:
         Q = apply_move(P("2; x; y"), NielsenGenerator(1, 2, -1))
         assert Q == P("2; xY; y")
 
-    def test_generator_move_reduces_each_relator_once(self, monkeypatch):
+    def test_atomic_move_reduces_each_relator_once(self, monkeypatch):
         start = P("3; xyX; yxY; zzx")
         calls = []
         reduce_word = _kernel.reduce_word
@@ -154,6 +155,28 @@ class TestApplyMove:
         reduced = [reduce_word(letters) for letters in calls]
         assert len(reduced) == 3
         assert [r.letters for r in Q.relators] == reduced
+
+    @pytest.mark.parametrize("move, after", [
+        (InvertRelator(2), "3; xyX; XyyX; z"),
+        (MultiplyRelator(1, 2, "right"), "3; xYx; xYYx; z"),
+        (MultiplyRelator(2, 1, "left"), "3; xyX; xYx; z"),
+        (ConjugateRelator(1, -1), "3; y; xYYx; z"),
+        (SwapRelators(1, 3), "3; z; xYYx; xyX"),
+        (Stabilize(), "4; xyX; xYYx; z; g4"),
+        (Destabilize(3), "2; xyX; xYYx"),
+        (NielsenGenerator(1, 2, -1), "3; xyX; xYYYxY; z"),
+        (InvertGenerator(2), "3; xYX; xyyx; z"),
+        (SwapGenerators(1, 3), "3; zyZ; zYYz; x"),
+    ], ids=("invert_relator", "multiply_right", "multiply_left", "conjugate_relator",
+            "swap_relators", "stabilize", "destabilize", "nielsen_generator",
+            "invert_generator", "swap_generators"))
+    def test_atomic_move_is_apply_move_on_letters(self, move, after):
+        """Each of the nine atomic move types, applied by atomic_move to
+        letter tuples, gives what apply_move gives on the presentation."""
+        start = P("3; xyX; xYYx; z")
+        letters = tuple(r.letters for r in start.relators)
+        assert Presentation(*atomic_move(start.rank, letters, move)) \
+            == apply_move(start, move) == P(after)
 
     def test_invert_generator(self):
         assert apply_move(P("2; xy; x"), InvertGenerator(1)) == P("2; Xy; X")

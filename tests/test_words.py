@@ -210,6 +210,12 @@ class TestWordValue:
         with pytest.raises(WordError):
             Word((1, 0))
 
+    def test_bool_letter_rejected(self):
+        """bool is an int subclass; the pure kernel would keep True as a
+        letter and the compiled one would turn it into 1."""
+        with pytest.raises(WordError):
+            Word((True,))
+
     def test_mul_and_pow(self):
         x = parse_word("x")
         assert x * x.inverse() == Word(())

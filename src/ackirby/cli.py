@@ -227,7 +227,11 @@ def _cmd_pres(args):
         _emit(args, doc, lines)
         return EXIT_OK
     # apply
-    moves = [move_from_dict(d) for d in json.loads(_read_text(args.moves))]
+    records = json.loads(_read_text(args.moves))
+    if not isinstance(records, list):
+        raise ValueError("--moves must hold a JSON array of move records, got %r"
+                         % (records,))
+    moves = [move_from_dict(d) for d in records]
     for move in moves:
         P = apply_move(P, move)
     text = presentation_to_text(P)
@@ -450,9 +454,10 @@ def _add_search_flags(p):
 
 
 def _add_presentation_inputs(p):
-    p.add_argument("--pres", help="inline presentation text, e.g. '2; xyX; y'")
-    p.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
-    p.add_argument("--family", help="family member spec, e.g. n=2")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--pres", help="inline presentation text, e.g. '2; xyX; y'")
+    src.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
+    src.add_argument("--family", help="family member spec, e.g. n=2")
     p.add_argument("--family-w", default="yx",
                    help="conjugating word for --family (default %(default)s)")
 
@@ -473,8 +478,9 @@ def build_parser():
 
     p = sub.add_parser("pres", help="presentation operations")
     p.add_argument("op", choices=("canon", "info", "apply"))
-    p.add_argument("--pres", help="inline presentation text")
-    p.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--pres", help="inline presentation text")
+    src.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
     p.add_argument("--moves", help="JSON move list file for apply ('-' = stdin)")
     _add_format(p)
     p.set_defaults(handler=_cmd_pres)
@@ -550,13 +556,6 @@ def main(argv=None):
         parser.error("curves classify needs --slope")
     if args.subcommand == "pres" and args.op == "apply" and args.moves is None:
         parser.error("pres apply needs --moves")
-    if args.subcommand == "pres" and args.pres is None and args.infile is None:
-        parser.error("pres needs --pres or --in")
-    if args.subcommand == "search":
-        given = [n for n in ("pres", "infile", "family")
-                 if getattr(args, n, None) is not None]
-        if len(given) != 1:
-            parser.error("search needs exactly one of --pres, --in, --family")
     if args.subcommand == "search" or (args.subcommand == "family" and args.op == "report"):
         source = {}   # budget flag -> where its value came from
         for flag, env in (("max_len", ENV_MAX_LEN), ("max_depth", ENV_MAX_DEPTH)):

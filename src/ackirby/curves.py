@@ -70,7 +70,7 @@ class PunctureLabeling:
     """Bijective assignment of labels L1, L2, R1, R2 to the four
     half-integer points."""
 
-    __slots__ = ("_points",)
+    __slots__ = ("_points", "_labels")
 
     def __init__(self, assignment=None):
         assignment = dict(DEFAULT_LABELING if assignment is None else assignment)
@@ -81,15 +81,16 @@ class PunctureLabeling:
             raise CurveError("labeling must assign the four half-integer points"
                              " (0,0), (1,0), (0,1), (1,1) bijectively")
         self._points = {lab: tuple(assignment[lab]) for lab in WEIGHTS}
+        self._labels = {pt: lab for lab, pt in self._points.items()}
 
     def point(self, label):
         return self._points[label]
 
     def label(self, point):
-        for lab, pt in self._points.items():
-            if pt == tuple(point):
-                return lab
-        raise CurveError("no label at point %r" % (point,))
+        try:
+            return self._labels[tuple(point)]
+        except KeyError:
+            raise CurveError("no label at point %r" % (point,)) from None
 
     def __eq__(self, other):
         if isinstance(other, PunctureLabeling):
@@ -113,20 +114,11 @@ def partition(slope, labeling=None):
     (('L1', 'L2'), ('R1', 'R2'))
     """
     lab = labeling or PunctureLabeling()
-    a, b = slope.direction
-    shift = (a % 2, b % 2)
-    seen = set()
-    sides = []
-    for pt in POINTS:
-        if pt in seen:
-            continue
-        mate = ((pt[0] + shift[0]) % 2, (pt[1] + shift[1]) % 2)
-        seen.add(pt)
-        seen.add(mate)
-        sides.append(tuple(sorted((lab.label(pt), lab.label(mate)))))
-    first = [s for s in sides if lab.label((0, 0)) in s]
-    second = [s for s in sides if lab.label((0, 0)) not in s]
-    return tuple(first + second)
+    # (0, 0) + (a/2, b/2) is the parity point itself
+    mate = slope.parity
+    rest = [pt for pt in POINTS if pt not in ((0, 0), mate)]
+    return (tuple(sorted((lab.label((0, 0)), lab.label(mate)))),
+            tuple(sorted(lab.label(pt) for pt in rest)))
 
 
 def z3_class(slope, labeling=None):
@@ -158,14 +150,11 @@ def enumerate_candidates(height, labeling=None):
     if height < 1:
         raise CurveError("height must be >= 1, got %r" % (height,))
     lab = labeling or PunctureLabeling()
-    found = []
-    if is_candidate(Slope(0, 1), lab):
-        found.append(Slope(0, 1))
+    # the partition, hence candidacy, depends only on the parity class
+    cand = {p: is_candidate(Slope(*p), lab) for p in ((1, 0), (0, 1), (1, 1))}
+    found = [Slope(0, 1)] if cand[(0, 1)] else []
     for a in range(1, height + 1):
         for b in range(-height, height + 1):
-            if gcd(a, abs(b)) != 1:
-                continue
-            s = Slope(a, b)
-            if is_candidate(s, lab):
-                found.append(s)
-    return sorted(found)
+            if gcd(a, abs(b)) == 1 and cand[(a % 2, b % 2)]:
+                found.append(Slope(a, b))
+    return found

@@ -27,11 +27,15 @@ class FramedLinkMatrix:
     __slots__ = ("_entries", "_kinds")
 
     def __init__(self, entries, kinds=None):
-        entries = tuple(tuple(int(v) for v in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
         m = len(entries)
         for row in entries:
             if len(row) != m:
                 raise KirbyError("matrix must be square")
+            for v in row:
+                # `type`, not isinstance: True is not the entry 1
+                if type(v) is not int:
+                    raise KirbyError("matrix entries must be integers, got %r" % (v,))
         for a in range(m):
             for b in range(m):
                 if entries[a][b] != entries[b][a]:
@@ -87,7 +91,7 @@ class FramedLinkMatrix:
 
 
 def _check_component(M, idx, name="component"):
-    if not isinstance(idx, int) or not 1 <= idx <= M.size:
+    if type(idx) is not int or not 1 <= idx <= M.size:
         raise KirbyError("%s %r out of range 1..%d" % (name, idx, M.size))
 
 
@@ -110,7 +114,7 @@ def slide(M, i, j, sign):
     _check_component(M, j)
     if i == j:
         raise KirbyError("cannot slide a component over itself")
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise KirbyError("slide sign must be +1 or -1, got %r" % (sign,))
     if M.kinds[i - 1] == DOTTED and M.kinds[j - 1] == TWO_HANDLE:
         raise KirbyError("dotted component %d cannot slide over 2-handle %d" % (i, j))
@@ -159,7 +163,7 @@ def blow_down(M, i):
 
 def add_unlink(M, r):
     """Block-extend by a distant r-component 0-framed unlink."""
-    if r < 0:
+    if type(r) is not int or r < 0:
         raise KirbyError("unlink component count must be >= 0, got %r" % (r,))
     m = M.size
     e = [list(row) + [0] * r for row in M.entries]

@@ -149,7 +149,6 @@ STRICT_MOVE_TYPES = (InvertRelator, MultiplyRelator, ConjugateRelator,
                      SwapRelators, Stabilize, Destabilize)
 EXTENDED_MOVE_TYPES = STRICT_MOVE_TYPES + (NielsenGenerator, InvertGenerator,
                                            SwapGenerators)
-MACRO_MOVE_TYPES = (MultiplyByConjugate, Composite)
 
 
 def _check_index(rank, idx, name="relator index"):
@@ -192,11 +191,9 @@ def apply_move(P, move):
     >>> presentation_to_text(apply_move(P, MultiplyRelator(1, 2, "right")))
     '2; xyXy; y'
     """
-    if isinstance(move, MACRO_MOVE_TYPES):
-        for m in expand_macro(move):
-            P = apply_move(P, m)
-        return P
-    rank, letters = atomic_move(P.rank, tuple(r.letters for r in P.relators), move)
+    rank, letters = P.rank, tuple(r.letters for r in P.relators)
+    for m in expand_macro(move):
+        rank, letters = atomic_move(rank, letters, m)
     return Presentation(rank, [Word._from_reduced(r) for r in letters])
 
 

@@ -90,6 +90,10 @@ class TestPresCommands:
         r = run("pres", "info", "--pres", "2; xy; y", "--family", "n=1")
         assert r.returncode == 2
 
+    def test_pres_and_in_together_rejected(self):
+        r = run("pres", "info", "--pres", "2; xy; y", "--in", "/nonexistent")
+        assert r.returncode == 2
+
     def test_unbalanced_presentation_is_input_error(self):
         r = run("pres", "info", "--pres", "2; xy")
         assert r.returncode == 1
@@ -105,9 +109,11 @@ class TestPresCommands:
         [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": True}],
         [{"type": "multiply_by_conjugate", "i": 1, "j": 2, "conjugator": "x", "sign": True}],
         [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": 1.0}],
+        5,
+        {},
     ], ids=("missing_field", "extra_field", "not_an_object", "bad_nested_record",
             "bool_index", "bool_letter", "bool_nielsen_sign", "bool_conjugate_sign",
-            "float_nielsen_sign"))
+            "float_nielsen_sign", "number_not_list", "object_not_list"))
     def test_malformed_move_record_is_input_error(self, moves):
         r = run("pres", "apply", "--pres", "2; xy; y", "--moves", "-",
                 stdin=json.dumps(moves))
@@ -144,6 +150,10 @@ class TestSearchCommand:
 
     def test_missing_input_is_usage_error(self):
         assert run("search").returncode == 2
+
+    def test_two_inputs_are_usage_error(self):
+        r = run("search", "--pres", "2; xY; y", "--family", "n=1")
+        assert r.returncode == 2
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--workers", "0", "--workers must be >= 1, got 0"),

@@ -208,6 +208,26 @@ class TestEnumerate:
                     if oracle_is_candidate(Slope(*d))]
             assert [s.direction for s in enumerate_candidates(H)] == want
 
+    def test_agrees_with_oracle_for_every_labeling(self):
+        for points in itertools.permutations(POINTS):
+            lab = PunctureLabeling(dict(zip(LABELS, points)))
+            want = [d for d in primitive_directions(6)
+                    if oracle_is_candidate(Slope(*d), lab)]
+            assert [s.direction for s in enumerate_candidates(6, lab)] == want
+
+    def test_candidacy_decided_once_per_parity_class(self, monkeypatch):
+        import ackirby.curves
+        calls = []
+        real = ackirby.curves.partition
+
+        def counting(slope, labeling=None):
+            calls.append(slope)
+            return real(slope, labeling)
+
+        monkeypatch.setattr(ackirby.curves, "partition", counting)
+        assert len(enumerate_candidates(40)) > 1000
+        assert len(calls) <= 3
+
     def test_entries_are_primitive_and_in_range(self):
         for s in enumerate_candidates(7):
             a, b = s.direction

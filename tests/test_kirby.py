@@ -50,6 +50,11 @@ class TestConstruction:
         with pytest.raises(KirbyError):
             F(((0,),), ("h", "h"))
 
+    @pytest.mark.parametrize("entry", [1.9, "3", True], ids=("float", "str", "bool"))
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(KirbyError):
+            F([[entry]])
+
     def test_empty_matrix(self):
         E = F((), ())
         assert E.size == 0
@@ -92,6 +97,17 @@ class TestSlide:
             slide(hopf_hd(), 0, 2, +1)
         with pytest.raises(KirbyError):
             slide(hopf_hd(), 1, 2, 2)
+
+    def test_bool_component_rejected(self):
+        with pytest.raises(KirbyError):
+            slide(hopf_hd(), True, 2, 1)
+        with pytest.raises(KirbyError):
+            slide(hopf_hd(), 1, True, 1)
+
+    @pytest.mark.parametrize("sign", [1.0, True], ids=("float", "bool"))
+    def test_non_integer_sign_rejected(self, sign):
+        with pytest.raises(KirbyError):
+            slide(hopf_hd(), 1, 2, sign)
 
 
 class TestBlowDown:
@@ -137,6 +153,11 @@ class TestStabilizations:
 
     def test_add_unlink_zero_is_identity(self):
         assert add_unlink(hopf_hd(), 0) == hopf_hd()
+
+    @pytest.mark.parametrize("r", [1.0, True], ids=("float", "bool"))
+    def test_add_unlink_non_integer_count_rejected(self, r):
+        with pytest.raises(KirbyError):
+            add_unlink(hopf_hd(), r)
 
     def test_add_hopf_pair_from_empty(self):
         assert add_hopf_pair(F((), ())) == hopf_hd()

@@ -535,7 +535,8 @@ def build_parser():
     p.add_argument("op", choices=("enumerate", "classify"))
     p.add_argument("--height", type=int, default=10,
                    help="max |coordinate| of the direction (default %(default)s)")
-    p.add_argument("--slope", help="slope a/b for classify")
+    p.add_argument("--slope", help="slope a/b for classify; write a negative "
+                                   "numerator as --slope=-1/2")
     p.add_argument("--labeling",
                    help="puncture labeling override, e.g. 'L1=0,0;L2=1,1;R1=1,0;R2=0,1'")
     _add_format(p)

@@ -13,14 +13,14 @@ atomic moves.  All moves are invertible; see inverse_move.
 
 Every atomic move is defined once, in atomic_move, on a rank and its
 relator letter tuples; the generator-level moves are generator maps
-applied by map_generators.  apply_move, the search's successors
+applied by words.map_generators.  apply_move, the search's successors
 (search._successors) and certificate expansion all call it.
 """
 
 from dataclasses import dataclass
 
 from ackirby import _kernel
-from ackirby.words import Word, exponent_sums, format_word, parse_word
+from ackirby.words import Word, exponent_sums, format_word, map_generators, parse_word
 
 
 class MoveError(ValueError):
@@ -195,34 +195,6 @@ def apply_move(P, move):
     for m in expand_macro(move):
         rank, letters = atomic_move(rank, letters, m)
     return Presentation(rank, [Word._from_reduced(r) for r in letters])
-
-
-def map_generators(relators, images):
-    """Apply the generator map k -> images[k] to relator letter tuples.
-
-    Every letter k becomes the letter tuple images[k] and -k its inverse;
-    generators without an image stay.  Each result is freely reduced.
-
-    >>> map_generators(((1, 2), (1, -2)), {1: (1, -2)})
-    ((1,), (1, -2, -2))
-    """
-    table = {}
-    for k, image in images.items():
-        table[k] = image
-        table[-k] = _kernel.invert_word(image)
-    get = table.get
-    reduce_word = _kernel.reduce_word
-    out = []
-    for r in relators:
-        letters = []
-        for v in r:
-            image = get(v)
-            if image is None:
-                letters.append(v)
-            else:
-                letters.extend(image)
-        out.append(reduce_word(tuple(letters)))
-    return tuple(out)
 
 
 def atomic_move(rank, relators, move):

@@ -15,10 +15,14 @@ move by move.
 The multiplication edges are built here (the products by
 `_kernel.expand_multiply`, which also drops every product longer than
 the relator's share of max_total_length before it canonicalizes it).
-Every other edge, and every atomic move of an expanded certificate, is
-presentations.atomic_move, the one definition of each atomic move that
-apply_move replays, so a class edge and its atomic moves cannot drift
-apart.
+Every other edge is ("move", m) for the atomic move m that
+presentations.atomic_move applies, the one definition of each atomic
+move that apply_move replays, so a class edge and its atomic moves
+cannot drift apart.
+
+The visited table holds one parent link per class.  Only the path to a
+trivial class needs its edges; certificate expansion re-derives each
+one from the parent's successors.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
@@ -26,7 +30,6 @@ length of every class on a path; max_depth counts essential moves.
 
 import functools
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from typing import Optional
 
 from ackirby import _kernel
@@ -134,26 +137,24 @@ def _state_total(state):
     return sum(len(r) for r in state[1])
 
 
-# edge kind -> the generator-level move it stands for; the edge's
-# remaining fields are the move's arguments
-_GENERATOR_EDGES = {"destab": Destabilize, "nielsen": NielsenGenerator,
-                    "invgen": InvertGenerator, "swapgen": SwapGenerators}
+_STABILIZE = Stabilize()
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_change_edges(rank):
-    """(edge, move) pairs of the extended regime's generator basis
-    changes at a rank, in enumeration order."""
+def _basis_changes(rank):
+    """The extended regime's generator basis changes at a rank, in
+    enumeration order."""
     gens = range(1, rank + 1)
-    edges = [("nielsen", i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
-    edges += [("invgen", i) for i in gens]
-    edges += [("swapgen", i, j) for i in gens for j in gens if i < j]
-    return tuple((edge, _GENERATOR_EDGES[edge[0]](*edge[1:])) for edge in edges)
+    moves = [NielsenGenerator(i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
+    moves += [InvertGenerator(i) for i in gens]
+    moves += [SwapGenerators(i, j) for i in gens for j in gens if i < j]
+    return tuple(moves)
 
 
 def _successors(state, max_len, regime):
-    """Child classes of a state with their edge descriptors, in the fixed
-    deterministic enumeration order."""
+    """Child classes of a state with their edges, in the fixed
+    deterministic enumeration order: ("mul", i, j, p, eps, q) for a
+    multiplication, ("move", m) for any other atomic move m."""
     rank, rels = state
     total = _state_total(state)
     sort_relators = _kernel.sort_relators
@@ -175,27 +176,28 @@ def _successors(state, max_len, regime):
 
     # stabilize
     if total + 1 <= max_len:
-        grown, grown_rels = atomic_move(rank, rels, Stabilize())
-        out.append((("stab",), (grown, sort_relators(grown_rels))))
+        grown, grown_rels = atomic_move(rank, rels, _STABILIZE)
+        out.append((("move", _STABILIZE), (grown, sort_relators(grown_rels))))
 
     # destabilize relator i when it is a single letter; atomic_move
     # rejects the move when that generator occurs in another relator.
     # Renumbering keeps canonical relators canonical and sorted.
     for i in range(1, rank + 1):
         if len(rels[i - 1]) == 1:
+            move = Destabilize(i)
             try:
-                child = atomic_move(rank, rels, Destabilize(i))
+                child = atomic_move(rank, rels, move)
             except MoveError:
                 continue
-            out.append((("destab", i), child))
+            out.append((("move", move), child))
 
     if regime == "extended":
-        for edge, move in _basis_change_edges(rank):
+        for move in _basis_changes(rank):
             _, mapped = atomic_move(rank, rels, move)
             child = (rank, sort_relators(map(_kernel.canonical_relator, mapped)))
             # only a Nielsen move can lengthen the presentation
             if _state_total(child) <= max_len:
-                out.append((edge, child))
+                out.append((("move", move), child))
 
     return out
 
@@ -203,14 +205,21 @@ def _successors(state, max_len, regime):
 # ---------------------------------------------------------------------------
 # Certificate expansion: class path -> atomic moves
 
-def _expand_certificate(start, path):
-    """Turn a class-edge path into a replayable atomic certificate.
+def _expand_certificate(start, visited, goal, max_len, regime):
+    """Turn the class path from `start` to `goal` into a replayable
+    atomic certificate.
 
-    The moves are simulated by atomic_move on the rank and relator
-    letter tuples: bookkeeping moves bring each presentation on the path
-    to its canonical representative, from which the next class edge is
-    realized.
+    The path follows the parent links of `visited`.  Each step's edge is
+    the first edge of the parent's successors that yields the child,
+    which is the edge that inserted the child.  The moves are simulated
+    by atomic_move on the rank and relator letter tuples: bookkeeping
+    moves bring each presentation on the path to its canonical
+    representative, from which the next class edge is realized.
     """
+    path = [goal]
+    while visited[path[-1]] is not None:
+        path.append(visited[path[-1]])
+    path.reverse()
     moves = []
     rank, rels = start.rank, tuple(r.letters for r in start.relators)
 
@@ -241,9 +250,9 @@ def _expand_certificate(start, path):
                 emit(SwapRelators(pos, best))
 
     canonicalize()
-    for edge, child_state in path:
-        kind = edge[0]
-        if kind == "mul":
+    for parent, child in zip(path, path[1:]):
+        edge = next(e for e, c in _successors(parent, max_len, regime) if c == child)
+        if edge[0] == "mul":
             _, i, j, p, eps, q = edge
             for _ in range(p):
                 emit(ConjugateRelator(i, -rels[i - 1][0]))
@@ -252,27 +261,12 @@ def _expand_certificate(start, path):
             for _ in range(q):
                 emit(ConjugateRelator(j, -rels[j - 1][0]))
             emit(MultiplyRelator(i, j, "right"))
-        elif kind == "stab":
-            emit(Stabilize())
         else:
-            emit(_GENERATOR_EDGES[kind](*edge[1:]))
+            emit(edge[1])
         canonicalize()
-        if (rank, rels) != child_state:
+        if (rank, rels) != child:
             raise RuntimeError("certificate expansion diverged from the class path")
     return MoveCertificate(start, tuple(moves))
-
-
-def _reconstruct_path(visited, goal):
-    path = []
-    state = goal
-    while True:
-        parent, edge = visited[state]
-        if parent is None:
-            break
-        path.append((edge, state))
-        state = parent
-    path.reverse()
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +316,7 @@ def search(start, cfg, progress=None):
     _validate_config(start, cfg)
     L, D = cfg.max_total_length, cfg.max_depth
     start_state = canonical_form(start)
-    visited = {start_state: (None, None)}
+    visited = {start_state: None}    # class -> parent class
     stats = SearchStats(visited=1, frontier_peak=1,
                         max_total_length=L, max_depth=D, depth_reached=0)
     if _is_trivial_state(start_state):
@@ -332,20 +326,17 @@ def search(start, cfg, progress=None):
     depth = 0
     while frontier and depth < D:
         depth += 1
-        # lazy: one state's successors at a time
-        expansion = map(_successors, frontier, repeat(L), repeat(cfg.move_regime))
-
         found = None
         full = False
         new_states = []
-        for parent, successors in zip(frontier, expansion):
-            for edge, child in successors:
+        for parent in frontier:
+            for _, child in _successors(parent, L, cfg.move_regime):
                 if child in visited:
                     continue
                 if len(visited) >= cfg.dedup_capacity:
                     full = True
                     break
-                visited[child] = (parent, edge)
+                visited[child] = parent
                 new_states.append(child)
                 if found is None and _is_trivial_state(child):
                     found = child
@@ -358,7 +349,7 @@ def search(start, cfg, progress=None):
         if progress is not None:
             progress(depth, len(visited), len(new_states))
         if found is not None:
-            cert = _expand_certificate(start, _reconstruct_path(visited, found))
+            cert = _expand_certificate(start, visited, found, L, cfg.move_regime)
             report = verify(cert)
             if not report.ok:
                 raise RuntimeError("internal error: found certificate failed to verify: %s"
@@ -374,7 +365,9 @@ def hybrid_trivialize(start, prefix, cfg, progress=None):
     """Replay a certificate prefix, then search from its endpoint.
 
     A Found outcome carries the concatenated, end-to-end certificate.
-    Raises MoveError if the prefix does not replay legally from start.
+    It is not replayed again: the prefix replayed legally here, and
+    `search` verified the suffix from the prefix's endpoint.  Raises
+    MoveError if the prefix does not replay legally from start.
     """
     if prefix.start != start:
         raise MoveError("prefix certificate starts at a different presentation")
@@ -383,11 +376,7 @@ def hybrid_trivialize(start, prefix, cfg, progress=None):
         P = apply_move(P, move)
     out = search(P, cfg, progress)
     if out.found:
-        cert = MoveCertificate(start, tuple(prefix.moves) + tuple(out.certificate.moves))
-        report = verify(cert)
-        if not report.ok:
-            raise RuntimeError("internal error: hybrid certificate failed to verify: %s"
-                               % (report.reason,))
+        cert = MoveCertificate(start, tuple(prefix.moves) + out.certificate.moves)
         return SearchOutcome("found", cert, out.stats)
     return out
 

@@ -90,10 +90,9 @@ class Word:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        out = Word._from_reduced(())
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        # free reduction is confluent, so reducing the concatenation once
+        # equals reducing after every factor
+        return Word._from_reduced(_kernel.reduce_word(base._letters * abs(n)))
 
     def inverse(self):
         return Word._from_reduced(_kernel.invert_word(self._letters))
@@ -145,11 +144,37 @@ def cyclic_reduce(w):
     return Word._from_reduced(letters[:i]), Word._from_reduced(letters[i:j + 1])
 
 
+def map_generators(relators, images):
+    """Apply the generator map k -> images[k] to relator letter tuples.
+
+    Every letter k becomes the letter tuple images[k] and -k its inverse;
+    generators without an image stay.  Each result is freely reduced.
+
+    >>> map_generators(((1, 2), (1, -2)), {1: (1, -2)})
+    ((1,), (1, -2, -2))
+    """
+    table = {}
+    for k, image in images.items():
+        table[k] = image
+        table[-k] = _kernel.invert_word(image)
+    get = table.get
+    reduce_word = _kernel.reduce_word
+    out = []
+    for r in relators:
+        letters = []
+        for v in r:
+            image = get(v)
+            if image is None:
+                letters.append(v)
+            else:
+                letters.extend(image)
+        out.append(reduce_word(tuple(letters)))
+    return tuple(out)
+
+
 def substitute(w, target, replacement):
     """Replace every occurrence of generator `target` (and its inverse)
     in w by `replacement` (resp. its inverse), then reduce."""
-    # imported here because presentations imports this module
-    from ackirby.presentations import map_generators
     if target < 1:
         raise WordError("target generator index must be >= 1, got %r" % (target,))
     (letters,) = map_generators((Word(w).letters,), {target: Word(replacement).letters})

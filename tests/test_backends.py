@@ -281,6 +281,86 @@ def test_compiled_kernel_does_not_leak(ck):
         assert grown < LEAK_BOUND, (fn.__name__, grown)
 
 
+def _libasan():
+    """Path of the compiler's AddressSanitizer runtime, or None."""
+    if shutil.which("gcc") is None:
+        return None
+    out = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                         capture_output=True, text=True).stdout.strip()
+    # gcc prints the bare name back when it has no such file
+    return os.path.realpath(out) if os.path.isabs(out) and os.path.isfile(out) else None
+
+
+LIBASAN = _libasan()
+SANITIZE_SEED = 12
+SANITIZE_ROUNDS = 3000
+SANITIZE_SNIPPET = """
+import importlib.util
+import random
+import sys
+
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+pk = load("ackirby._kernel_py", sys.argv[1])
+ck = load("ackirby._kernel_c", sys.argv[2])
+rng = random.Random(int(sys.argv[3]))
+
+
+def word(size):
+    return tuple(rng.choice((1, -1)) * rng.choice((1, 2, 3, 300, %d))
+                 for _ in range(rng.randrange(size)))
+
+
+for _ in range(int(sys.argv[4])):
+    w = word(25)
+    r = pk.reduce_word(w)
+    assert ck.reduce_word(w) == r, w
+    assert ck.invert_word(r) == pk.invert_word(r), r
+    assert ck.canonical_relator(r) == pk.canonical_relator(r), r
+    rels = [pk.reduce_word(word(9)) for _ in range(rng.randrange(5))]
+    assert ck.sort_relators(rels) == pk.sort_relators(rels), rels
+    ci, cj = pk.canonical_relator(word(11)), pk.canonical_relator(word(11))
+    b = rng.choice((None, rng.randrange(21)))
+    assert list(ck.expand_multiply(ci, cj, b).items()) == \
+        list(pk.expand_multiply(ci, cj, b).items()), (ci, cj, b)
+print("ok")
+""" % MAX_GENERATOR
+
+
+@pytest.mark.skipif(LIBASAN is None or not _can_compile(),
+                    reason="no gcc with an AddressSanitizer runtime, or no Python.h")
+def test_compiled_kernel_under_sanitizers(tmp_path):
+    """`_kernel_c.c`, built with AddressSanitizer and UndefinedBehavior-
+    Sanitizer, agrees with `_kernel_py` on seeded random calls of the
+    five functions without a sanitizer report.  Python allocates with
+    plain malloc (PYTHONMALLOC=malloc), so the kernel's buffers are
+    checked byte for byte; any report aborts the run."""
+    source = ROOT / "src" / "ackirby" / "_kernel_c.c"
+    built = tmp_path / KERNEL_SO
+    proc = subprocess.run(
+        ["gcc", "-shared", "-fPIC", "-g", "-O1", "-fno-omit-frame-pointer",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-I" + sysconfig.get_paths()["include"],
+         '-DSOURCE_CRC32="%08x"' % zlib.crc32(source.read_bytes()),
+         str(source), "-o", str(built)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, "sanitized build failed:\n" + proc.stderr
+    env = dict(os.environ, LD_PRELOAD=LIBASAN, PYTHONMALLOC="malloc",
+               ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZE_SNIPPET,
+         str(ROOT / "src" / "ackirby" / "_kernel_py.py"), str(built),
+         str(SANITIZE_SEED), str(SANITIZE_ROUNDS)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
+
+
 def _public_functions(module):
     return sorted(name for name, value in vars(module).items()
                   if not name.startswith("_") and callable(value))

@@ -445,6 +445,13 @@ class TestCurvesCommands:
         assert r.returncode == 0
         assert "candidate: yes" in r.stdout
 
+    def test_negative_slope_in_equals_form(self):
+        """argparse reads a bare `-1/2` as an option, so a negative
+        numerator is written `--slope=-1/2`."""
+        r = run("curves", "classify", "--slope=-1/2")
+        assert r.returncode == 0
+        assert "slope: 1/-2" in r.stdout
+
     def test_bad_slope_is_input_error(self):
         assert run("curves", "classify", "--slope", "0/0").returncode == 1
         assert run("curves", "classify", "--slope", "x").returncode == 1

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -279,6 +280,21 @@ class TestHybrid:
         with pytest.raises(MoveError):
             hybrid_trivialize(start, prefix, cfg(4, 2))
 
+    def test_certificate_is_replayed_once(self, monkeypatch):
+        """The prefix is replayed once and `search` verifies the suffix
+        once; the concatenation is not replayed a second time."""
+        replayed = []
+
+        def counting(P, move):
+            replayed.append(move)
+            return apply_move(P, move)
+
+        monkeypatch.setattr(search_module, "apply_move", counting)
+        out = hybrid_trivialize(presentation_Ln1(2), gersten_prefix_certificate(),
+                                cfg(11, 24))
+        assert len(out.certificate.moves) == 62
+        assert len(replayed) == 62
+
     def test_gersten_prefix_closes(self):
         start = presentation_Ln1(2)
         out = hybrid_trivialize(start, gersten_prefix_certificate(), cfg(11, 24))
@@ -302,6 +318,31 @@ class TestSerialization:
                                      "max_total_length", "max_depth",
                                      "depth_reached"}
         assert certificate_from_dict(doc["certificate"]) == out.certificate
+
+
+PREFIX = object()   # stands for the path of the Gersten prefix certificate
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--family", "n=1", "--max-len", "13", "--max-depth", "24"),
+     "a867088d61278196b4482a733cdf5d882afe72da35d5c205d9e2e72dbb844c3c"),
+    (("--family", "n=2", "--regime", "extended", "--max-len", "12", "--max-depth", "6"),
+     "4cea89cff24759af572435305d0c600eb030922072454e42a84d72093667fb05"),
+    (("--family", "n=2", "--prefix", PREFIX, "--max-len", "11", "--max-depth", "24"),
+     "2589502bacab439323e3ac0a146ba3ff46ec1b2a236d07199a13f51e47e8087c"),
+], ids=("found-n1", "extended-n2", "criterion-3"))
+def test_certificates_are_byte_stable(tmp_path, argv, digest):
+    """The JSON outcome of fixed searches, certificate included, is
+    pinned byte for byte: a certificate that changes fails here even
+    when it still verifies."""
+    prefix = tmp_path / "prefix.json"
+    prefix.write_text(json.dumps(certificate_to_dict(gersten_prefix_certificate())))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["search"] + [str(prefix) if a is PREFIX else a for a in argv])
+    assert code == cli.EXIT_OK
+    outcome = json.loads(stdout.getvalue())["outcome"]
+    assert hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest() == digest
 
 
 # single-relator randomized soundness: whenever a bounded run reports

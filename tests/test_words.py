@@ -222,6 +222,9 @@ class TestWordValue:
         assert parse_word("xy") ** 2 == parse_word("xyxy")
         assert parse_word("xy") ** -1 == parse_word("YX")
         assert parse_word("xy") ** 0 == Word(())
+        # the power cancels where the factors meet
+        assert parse_word("xyX") ** 3 == parse_word("xyyyX")
+        assert parse_word("xyX") ** -3 == parse_word("xYYYX")
 
     def test_seam_cancellation_in_mul(self):
         assert parse_word("xy") * parse_word("Yx") == parse_word("xx")

@@ -11,6 +11,7 @@ invalid input; 2 usage error; 3 inconclusive search.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -122,16 +123,17 @@ def _yesno(flag):
 # Shared input loaders
 
 def _family_param(spec):
-    if not spec.startswith("n="):
-        raise ValueError("family spec must look like n=2, got %r" % (spec,))
     try:
-        n = int(spec[2:])
+        if spec.startswith("n="):
+            return int(spec[2:])
     except ValueError:
-        raise ValueError("family spec must look like n=2, got %r" % (spec,))
-    return n
+        pass
+    raise ValueError("family spec must look like n=2, got %r" % (spec,))
 
 
 def _load_presentation(args):
+    """The presentation named by the input group; only `search` has
+    --family, and argparse requires one source."""
     if args.pres is not None:
         return parse_presentation(args.pres)
     if args.infile is not None:
@@ -153,13 +155,6 @@ def _parse_labeling(spec):
             raise CurveError("labeling entries look like L1=0,0 — got %r" % (item,))
         assignment[label.strip()] = (int(parts[0]), int(parts[1]))
     return PunctureLabeling(assignment)
-
-
-def _parse_slope(text):
-    a, sep, b = text.partition("/")
-    if not sep:
-        raise CurveError("slope looks like a/b, got %r" % (text,))
-    return Slope(int(a), int(b))
 
 
 def _slope_text(slope):
@@ -195,12 +190,7 @@ def _cmd_word(args):
 
 
 def _cmd_pres(args):
-    P = parse_presentation(args.pres if args.pres is not None
-                           else _read_text(args.infile))
-    if args.op == "canon":
-        text = presentation_to_text(canonical_presentation(P))
-        _emit(args, {"presentation": text}, [text])
-        return EXIT_OK
+    P = _load_presentation(args)
     if args.op == "info":
         A = abelianization_matrix(P)
         det = integer_determinant(A)
@@ -226,39 +216,18 @@ def _cmd_pres(args):
         ]
         _emit(args, doc, lines)
         return EXIT_OK
-    # apply
-    records = json.loads(_read_text(args.moves))
-    if not isinstance(records, list):
-        raise ValueError("--moves must hold a JSON array of move records, got %r"
-                         % (records,))
-    moves = [move_from_dict(d) for d in records]
-    for move in moves:
-        P = apply_move(P, move)
+    if args.op == "canon":
+        P = canonical_presentation(P)
+    else:  # apply
+        records = json.loads(_read_text(args.moves))
+        if not isinstance(records, list):
+            raise ValueError("--moves must hold a JSON array of move records, got %r"
+                             % (records,))
+        for move in [move_from_dict(d) for d in records]:
+            P = apply_move(P, move)
     text = presentation_to_text(P)
     _emit(args, {"presentation": text}, [text])
     return EXIT_OK
-
-
-def _build_config(args, start_total):
-    """Search config with the budget defaults; main has already read the
-    environment."""
-    return SearchConfig(
-        max_total_length=args.max_len if args.max_len is not None else start_total + 6,
-        max_depth=args.max_depth if args.max_depth is not None else 24,
-        move_regime=args.regime,
-        dedup_capacity=args.capacity,
-    )
-
-
-def _progress_printer(enabled):
-    if not enabled:
-        return None
-
-    def report(depth, visited, frontier):
-        print("progress: depth=%d visited=%d frontier=%d"
-              % (depth, visited, frontier), file=sys.stderr, flush=True)
-
-    return report
 
 
 _OUTCOME_EXIT = {"found": EXIT_OK, "exhausted": EXIT_NEGATIVE,
@@ -298,13 +267,25 @@ def _emit_outcome(args, start, cfg, outcome):
 
 def _cmd_search(args):
     start = _load_presentation(args)
-    cfg = _build_config(args, total_length(start))
+    # main has already read the budget defaults from the environment
+    cfg = SearchConfig(
+        max_total_length=args.max_len if args.max_len is not None
+        else total_length(start) + 6,
+        max_depth=args.max_depth if args.max_depth is not None else 24,
+        move_regime=args.regime,
+        dedup_capacity=args.capacity,
+    )
+
+    def report(depth, visited, frontier):
+        print("progress: depth=%d visited=%d frontier=%d"
+              % (depth, visited, frontier), file=sys.stderr, flush=True)
+
+    progress = report if args.progress else None
     if args.prefix is not None:
         prefix = certificate_from_dict(json.loads(_read_text(args.prefix)))
-        outcome = hybrid_trivialize(start, prefix, cfg,
-                                    _progress_printer(args.progress))
+        outcome = hybrid_trivialize(start, prefix, cfg, progress)
     else:
-        outcome = search(start, cfg, _progress_printer(args.progress))
+        outcome = search(start, cfg, progress)
     return _emit_outcome(args, start, cfg, outcome)
 
 
@@ -368,25 +349,17 @@ def _cmd_family(args):
     return EXIT_OK
 
 
-def _matrix_doc(M):
-    return {"size": M.size, "entries": [list(r) for r in M.entries],
-            "kinds": list(M.kinds)}
-
-
 def _cmd_kirby(args):
     M = parse_matrix(_read_text(args.infile))
-    if args.op == "slide":
-        sign = 1 if args.sign == "+" else -1
-        M2 = slide(M, args.component, args.over, sign)
-        _emit(args, _matrix_doc(M2), [matrix_to_text(M2)])
-        return EXIT_OK
-    if args.op == "blowdown":
-        M2 = blow_down(M, args.component)
-        _emit(args, _matrix_doc(M2), [matrix_to_text(M2)])
+    if args.op in ("slide", "blowdown"):
+        M2 = (slide(M, args.component, args.over, 1 if args.sign == "+" else -1)
+              if args.op == "slide" else blow_down(M, args.component))
+        _emit(args, {"size": M2.size, "entries": [list(r) for r in M2.entries],
+                     "kinds": list(M2.kinds)}, [matrix_to_text(M2)])
         return EXIT_OK
     if args.op == "gpr":
         ok = gpr_necessary_condition(M)
-        det = integer_determinant([list(r) for r in M.entries])
+        det = M.determinant()
         _emit(args,
               {"det": det, "gpr_necessary": ok},
               ["det: %d" % det, "gpr-necessary: %s" % _yesno(ok)])
@@ -406,7 +379,10 @@ def _cmd_curves(args):
         _emit(args, doc, [_slope_text(s) for s in slopes])
         return EXIT_OK
     # classify
-    slope = _parse_slope(args.slope)
+    a, sep, b = args.slope.partition("/")
+    if not sep:
+        raise CurveError("slope looks like a/b, got %r" % (args.slope,))
+    slope = Slope(int(a), int(b))
     sides = partition(slope, labeling)
     cand = is_candidate(slope, labeling)
     z3 = z3_class(slope, labeling)
@@ -436,32 +412,27 @@ def _add_format(p, default="text"):
                    help="output format (default %(default)s)")
 
 
-def _add_search_flags(p):
+def _add_budget_flags(p, len_default, depth_default):
+    """--max-len, --max-depth and --regime; main reads the first two from
+    the environment when they are not given."""
     p.add_argument("--max-len", type=int, default=None,
-                   help="total-length ceiling (default $%s, else start+6)" % ENV_MAX_LEN)
+                   help="total-length ceiling (default $%s, else %s)"
+                   % (ENV_MAX_LEN, len_default))
     p.add_argument("--max-depth", type=int, default=None,
-                   help="move-depth ceiling (default $%s, else 24)" % ENV_MAX_DEPTH)
+                   help="move-depth ceiling (default $%s, else %s)"
+                   % (ENV_MAX_DEPTH, depth_default))
     p.add_argument("--regime", choices=("strict", "extended"), default="strict")
-    p.add_argument("--workers", type=int, default=1,
-                   help="recorded in the output; the search runs in one process, "
-                        "so the value changes nothing")
-    p.add_argument("--capacity", type=int, default=1_000_000,
-                   help="hard limit on the classes the deduplication table holds")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the output; the search is deterministic")
-    p.add_argument("--progress", action="store_true",
-                   help="print per-depth progress to stderr")
 
 
 def _add_presentation_inputs(p):
+    """The required source group that `_load_presentation` reads."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pres", help="inline presentation text, e.g. '2; xyX; y'")
     src.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
-    src.add_argument("--family", help="family member spec, e.g. n=2")
-    p.add_argument("--family-w", default="yx",
-                   help="conjugating word for --family (default %(default)s)")
+    return src
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ackirby",
@@ -478,16 +449,26 @@ def build_parser():
 
     p = sub.add_parser("pres", help="presentation operations")
     p.add_argument("op", choices=("canon", "info", "apply"))
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--pres", help="inline presentation text")
-    src.add_argument("--in", dest="infile", help="file with presentation text ('-' = stdin)")
+    _add_presentation_inputs(p)
     p.add_argument("--moves", help="JSON move list file for apply ('-' = stdin)")
     _add_format(p)
     p.set_defaults(handler=_cmd_pres)
 
     p = sub.add_parser("search", help="bounded trivialization search")
-    _add_presentation_inputs(p)
-    _add_search_flags(p)
+    _add_presentation_inputs(p).add_argument(
+        "--family", help="family member spec, e.g. n=2")
+    p.add_argument("--family-w", default="yx",
+                   help="conjugating word for --family (default %(default)s)")
+    _add_budget_flags(p, "start+6", "24")
+    p.add_argument("--workers", type=int, default=1,
+                   help="recorded in the output; the search runs in one process, "
+                        "so the value changes nothing")
+    p.add_argument("--capacity", type=int, default=1_000_000,
+                   help="hard limit on the classes the deduplication table holds")
+    p.add_argument("--seed", type=int, default=None,
+                   help="recorded in the output; the search is deterministic")
+    p.add_argument("--progress", action="store_true",
+                   help="print per-depth progress to stderr")
     p.add_argument("--prefix", help="certificate JSON to replay before searching")
     p.add_argument("--cert-out", help="also write the found certificate to this file")
     _add_format(p, default="json")
@@ -507,12 +488,7 @@ def build_parser():
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("report", help="survey rows for n = 0..n_max")
     q.add_argument("--n-max", type=int, required=True)
-    q.add_argument("--max-len", type=int, default=None,
-                   help="total-length ceiling (default $%s, else each member's start+2)"
-                   % ENV_MAX_LEN)
-    q.add_argument("--max-depth", type=int, default=None,
-                   help="move-depth ceiling (default $%s, else 8)" % ENV_MAX_DEPTH)
-    q.add_argument("--regime", choices=("strict", "extended"), default="strict")
+    _add_budget_flags(q, "each member's start+2", "8")
     _add_format(q)
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("gersten", help="emit the built-in n=2 certificate")
@@ -545,19 +521,23 @@ def build_parser():
     return parser
 
 
+# (subcommand, op) -> the flags that op needs, reported in this order
+_REQUIRED_FLAGS = {
+    ("pres", "apply"): ("moves",),
+    ("kirby", "slide"): ("component", "over"),
+    ("kirby", "blowdown"): ("component",),
+    ("curves", "classify"): ("slope",),
+}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "kirby":
-        if args.op in ("slide", "blowdown") and args.component is None:
-            parser.error("kirby %s needs --component" % args.op)
-        if args.op == "slide" and args.over is None:
-            parser.error("kirby slide needs --over")
-    if args.subcommand == "curves" and args.op == "classify" and args.slope is None:
-        parser.error("curves classify needs --slope")
-    if args.subcommand == "pres" and args.op == "apply" and args.moves is None:
-        parser.error("pres apply needs --moves")
-    if args.subcommand == "search" or (args.subcommand == "family" and args.op == "report"):
+    op = getattr(args, "op", None)
+    for flag in _REQUIRED_FLAGS.get((args.subcommand, op), ()):
+        if getattr(args, flag) is None:
+            parser.error("%s %s needs --%s" % (args.subcommand, op, flag))
+    if hasattr(args, "max_len"):   # the budget flags: search, family report
         source = {}   # budget flag -> where its value came from
         for flag, env in (("max_len", ENV_MAX_LEN), ("max_depth", ENV_MAX_DEPTH)):
             text = os.environ.get(env)

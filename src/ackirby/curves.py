@@ -35,6 +35,9 @@ class Slope:
     __slots__ = ("_a", "_b")
 
     def __init__(self, a, b):
+        # `type`, not isinstance: True is not the coordinate 1
+        if type(a) is not int or type(b) is not int:
+            raise CurveError("slope direction must be integers, got (%r, %r)" % (a, b))
         if a == 0 and b == 0:
             raise CurveError("slope direction cannot be (0, 0)")
         if gcd(abs(a), abs(b)) != 1:
@@ -147,7 +150,7 @@ def enumerate_candidates(height, labeling=None):
     >>> [s.direction for s in enumerate_candidates(1)]
     [(0, 1), (1, 0)]
     """
-    if height < 1:
+    if type(height) is not int or height < 1:
         raise CurveError("height must be >= 1, got %r" % (height,))
     lab = labeling or PunctureLabeling()
     # the partition, hence candidacy, depends only on the parity class

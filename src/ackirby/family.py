@@ -30,7 +30,7 @@ from ackirby.words import Word, parse_word
 def presentation_from_w(n, w):
     """<x, y | y^-1 w^-1 x w, x^(n+1) y^-n> for a conjugating word w in
     x and y, relators freely reduced."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("family parameter n must be a nonnegative integer, got %r" % (n,))
     w = Word(w)
     if w.max_generator() > 2:
@@ -145,8 +145,8 @@ def family_report(n_max, **overrides):
     SearchConfig fields and override that default for every row; the
     fields not given keep it.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer, got %r" % (n_max,))
     rows = []
     for n in range(n_max + 1):
         P = presentation_Ln1(n)

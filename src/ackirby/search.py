@@ -273,6 +273,11 @@ def _expand_certificate(start, visited, goal, max_len, regime):
 # Search driver
 
 def _validate_config(start, cfg):
+    for name in ("max_total_length", "max_depth", "dedup_capacity"):
+        value = getattr(cfg, name)
+        # `type`, not isinstance: True is not the budget 1
+        if type(value) is not int:
+            raise ValueError("%s must be an int, got %r" % (name, value))
     if cfg.move_regime not in ("strict", "extended"):
         raise ValueError("move_regime must be 'strict' or 'extended', got %r"
                          % (cfg.move_regime,))

@@ -336,21 +336,24 @@ print("ok")
 @pytest.mark.skipif(LIBASAN is None or not _can_compile(),
                     reason="no gcc with an AddressSanitizer runtime, or no Python.h")
 def test_compiled_kernel_under_sanitizers(tmp_path):
-    """`_kernel_c.c`, built with AddressSanitizer and UndefinedBehavior-
-    Sanitizer, agrees with `_kernel_py` on seeded random calls of the
-    five functions without a sanitizer report.  Python allocates with
-    plain malloc (PYTHONMALLOC=malloc), so the kernel's buffers are
-    checked byte for byte; any report aborts the run."""
-    source = ROOT / "src" / "ackirby" / "_kernel_c.c"
-    built = tmp_path / KERNEL_SO
+    """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
+    and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
+    random calls of the five functions without a sanitizer report.
+    Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
+    kernel's buffers are checked byte for byte; any report aborts the
+    run."""
     proc = subprocess.run(
-        ["gcc", "-shared", "-fPIC", "-g", "-O1", "-fno-omit-frame-pointer",
-         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-         "-I" + sysconfig.get_paths()["include"],
-         '-DSOURCE_CRC32="%08x"' % zlib.crc32(source.read_bytes()),
-         str(source), "-o", str(built)],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, "sanitized build failed:\n" + proc.stderr
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-temp", str(tmp_path / "temp"), "--build-lib", str(tmp_path / "lib")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ,
+                 CFLAGS="-g -O1 -fno-omit-frame-pointer -fsanitize=address,undefined"
+                        " -fno-sanitize-recover=all",
+                 LDFLAGS="-fsanitize=address,undefined"))
+    built = tmp_path / "lib" / "ackirby" / KERNEL_SO
+    # the extension is optional: a failed compile still exits 0
+    assert proc.returncode == 0 and built.exists(), \
+        "sanitized build failed:\n" + proc.stdout + proc.stderr
     env = dict(os.environ, LD_PRELOAD=LIBASAN, PYTHONMALLOC="malloc",
                ASAN_OPTIONS="detect_leaks=0")
     proc = subprocess.run(

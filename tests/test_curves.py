@@ -78,6 +78,11 @@ class TestSlope:
         with pytest.raises(CurveError):
             Slope(0, 0)
 
+    @pytest.mark.parametrize("a,b", ((1.0, 2), (1, 2.0), (True, 0), (0, True), ("1", 2)))
+    def test_non_int_direction_rejected(self, a, b):
+        with pytest.raises(CurveError, match="must be integers"):
+            Slope(a, b)
+
     def test_non_primitive_rejected(self):
         with pytest.raises(CurveError):
             Slope(2, 4)
@@ -237,6 +242,11 @@ class TestEnumerate:
     def test_bad_height(self):
         with pytest.raises(CurveError):
             enumerate_candidates(0)
+
+    @pytest.mark.parametrize("height", (2.0, True), ids=("float", "bool"))
+    def test_non_int_height_rejected(self, height):
+        with pytest.raises(CurveError, match="height must be >= 1"):
+            enumerate_candidates(height)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=-40, max_value=40),

@@ -42,6 +42,10 @@ class TestFamilyMembers:
         with pytest.raises(ValueError):
             presentation_Ln1(-1)
 
+    def test_bool_n_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            presentation_from_w(True, parse_word("yx"))
+
     def test_from_w_default_matches(self):
         for n in range(5):
             assert presentation_from_w(n, parse_word("yx")) == presentation_Ln1(n)
@@ -133,3 +137,8 @@ class TestFamilyReport:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             family_report(-1)
+
+    @pytest.mark.parametrize("n_max", (True, 1.0), ids=("bool", "float"))
+    def test_non_int_rejected(self, n_max):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            family_report(n_max)

@@ -157,6 +157,17 @@ class TestSearchOutcomes:
         with pytest.raises(ValueError):
             search(P("1; x"), cfg(2, 1, dedup_capacity=0))
 
+    @pytest.mark.parametrize("field", ("max_total_length", "max_depth", "dedup_capacity"))
+    @pytest.mark.parametrize("value", (13.0, True, "13"), ids=("float", "bool", "str"))
+    def test_non_int_budget_rejected(self, field, value):
+        """Each kernel rejects a budget that is not exactly `int` with the
+        same error, before searching: a float once ran on the pure kernel
+        and raised TypeError on the compiled one, and True ran as 1."""
+        budget = dict(max_total_length=13, max_depth=24, dedup_capacity=100)
+        budget[field] = value
+        with pytest.raises(ValueError, match="^%s must be an int" % field):
+            search(presentation_Ln1(1), SearchConfig(**budget))
+
     def test_bound_below_start_rejected(self):
         with pytest.raises(ValueError):
             search(presentation_Ln1(1), cfg(5, 4))

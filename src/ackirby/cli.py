@@ -33,7 +33,6 @@ from ackirby.family import (
     presentation_from_w,
 )
 from ackirby.kirby import (
-    KirbyError,
     blow_down,
     gpr_necessary_condition,
     is_weak_trivial_form,
@@ -42,7 +41,6 @@ from ackirby.kirby import (
     slide,
 )
 from ackirby.presentations import (
-    MoveError,
     abelianization_matrix,
     canonical_presentation,
     is_trivial_presentation,
@@ -65,7 +63,6 @@ from ackirby.search import (
 )
 from ackirby.words import (
     Word,
-    WordError,
     cyclic_reduce,
     exponent_sums,
     format_word,
@@ -554,8 +551,7 @@ def main(argv=None):
                              % (source.get(flag, "--" + flag.replace("_", "-")), least, value))
     try:
         return args.handler(args)
-    except (WordError, MoveError, KirbyError, CurveError, ValueError,
-            json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # every library error is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE
 

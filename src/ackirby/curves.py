@@ -80,6 +80,9 @@ class PunctureLabeling:
         if sorted(assignment) != sorted(WEIGHTS):
             raise CurveError("labeling needs exactly the labels L1, L2, R1, R2")
         pts = [tuple(assignment[lab]) for lab in sorted(WEIGHTS)]
+        # `type`: True and 0.0 compare equal to the integer coordinates
+        if any(type(v) is not int for pt in pts for v in pt):
+            raise CurveError("labeling coordinates must be ints, got %r" % (assignment,))
         if sorted(pts) != sorted(POINTS):
             raise CurveError("labeling must assign the four half-integer points"
                              " (0,0), (1,0), (0,1), (1,1) bijectively")

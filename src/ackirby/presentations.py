@@ -11,10 +11,10 @@ words.  Moves come in two regimes:
 MultiplyByConjugate and Composite are scripting macros that expand to
 atomic moves.  All moves are invertible; see inverse_move.
 
-Every atomic move is defined once, in atomic_move, on a rank and its
-relator letter tuples; the generator-level moves are generator maps
-applied by words.map_generators.  apply_move, the search's successors
-(search._successors) and certificate expansion all call it.
+Every atomic move is defined once, in atomic_move, on relator letter
+tuples whose number is the rank; the generator-level moves are generator
+maps applied by words.map_generators.  apply_move, the search's
+successors (search._successors) and certificate expansion all call it.
 """
 
 from dataclasses import dataclass
@@ -191,25 +191,26 @@ def apply_move(P, move):
     >>> presentation_to_text(apply_move(P, MultiplyRelator(1, 2, "right")))
     '2; xyXy; y'
     """
-    rank, letters = P.rank, tuple(r.letters for r in P.relators)
+    letters = tuple(r.letters for r in P.relators)
     for m in expand_macro(move):
-        rank, letters = atomic_move(rank, letters, m)
-    return Presentation(rank, [Word._from_reduced(r) for r in letters])
+        letters = atomic_move(letters, m)
+    return Presentation(len(letters), [Word._from_reduced(r) for r in letters])
 
 
-def atomic_move(rank, relators, move):
-    """Apply an atomic move to a rank and its relator letter tuples.
+def atomic_move(relators, move):
+    """Apply an atomic move to relator letter tuples (rank = their number).
 
     This is the one definition of every atomic move.  A failed
-    precondition raises MoveError.  Returns the new rank and relators,
-    each freely reduced (not canonicalized); the relators must be
-    freely reduced on input.
+    precondition raises MoveError.  Returns the new relators, each
+    freely reduced (not canonicalized); the relators must be freely
+    reduced on input.
 
-    >>> atomic_move(2, ((1,), (2, 2)), Destabilize(1))
-    (1, ((1, 1),))
-    >>> atomic_move(2, ((1, 2), (-2,)), MultiplyRelator(1, 2, "right"))
-    (2, ((1,), (-2,)))
+    >>> atomic_move(((1,), (2, 2)), Destabilize(1))
+    ((1, 1),)
+    >>> atomic_move(((1, 2), (-2,)), MultiplyRelator(1, 2, "right"))
+    ((1,), (-2,))
     """
+    rank = len(relators)
     # generator-level moves first: the search calls them most
     if isinstance(move, Destabilize):
         i = move.i
@@ -228,8 +229,8 @@ def atomic_move(rank, relators, move):
                     "destabilize needs generator %d to occur only in relator %d,"
                     " but it occurs in relator %d" % (k, i, idx + 1))
         # generators above k move down one index
-        return rank - 1, map_generators(relators[:i - 1] + relators[i:],
-                                        {g: (g - 1,) for g in range(k + 1, rank + 1)})
+        return map_generators(relators[:i - 1] + relators[i:],
+                              {g: (g - 1,) for g in range(k + 1, rank + 1)})
     if isinstance(move, NielsenGenerator):
         _check_index(rank, move.i, "generator index")
         _check_index(rank, move.j, "generator index")
@@ -237,18 +238,18 @@ def atomic_move(rank, relators, move):
             raise MoveError("Nielsen move needs two distinct generators, got i = j = %d" % move.i)
         if type(move.sign) is not int or move.sign not in (1, -1):
             raise MoveError("Nielsen sign must be +1 or -1, got %r" % (move.sign,))
-        return rank, map_generators(relators, {move.i: (move.i, move.sign * move.j)})
+        return map_generators(relators, {move.i: (move.i, move.sign * move.j)})
     if isinstance(move, InvertGenerator):
         _check_index(rank, move.i, "generator index")
-        return rank, map_generators(relators, {move.i: (-move.i,)})
+        return map_generators(relators, {move.i: (-move.i,)})
     if isinstance(move, SwapGenerators):
         _check_index(rank, move.i, "generator index")
         _check_index(rank, move.j, "generator index")
         if move.i == move.j:
             raise MoveError("swap needs two distinct generators, got i = j = %d" % move.i)
-        return rank, map_generators(relators, {move.i: (move.j,), move.j: (move.i,)})
+        return map_generators(relators, {move.i: (move.j,), move.j: (move.i,)})
     if isinstance(move, Stabilize):
-        return rank + 1, tuple(relators) + ((rank + 1,),)
+        return tuple(relators) + ((rank + 1,),)
 
     rels = list(relators)
     if isinstance(move, InvertRelator):
@@ -278,7 +279,7 @@ def atomic_move(rank, relators, move):
         rels[a], rels[b] = rels[b], rels[a]
     else:
         raise MoveError("unknown move %r" % (move,))
-    return rank, tuple(rels)
+    return tuple(rels)
 
 
 def inverse_move(move, context):
@@ -320,28 +321,28 @@ def inverse_move(move, context):
 # Canonical forms
 
 def canonical_form(P):
-    """Canonical form: each relator cyclically reduced and rotated (or
-    inverted) to its minimal form, relators sorted by
-    `_kernel.sort_relators`.  Presentations in the same
-    relator-permutation/inversion/conjugation class share it."""
-    return (P.rank, _kernel.sort_relators(
-        [_kernel.canonical_relator(r.letters) for r in P.relators]))
+    """Canonical form, the class key: the tuple of relators, each
+    cyclically reduced and rotated (or inverted) to its minimal form,
+    sorted by `_kernel.sort_relators`.  The rank is its length.
+    Presentations in the same relator-permutation/inversion/conjugation
+    class share it."""
+    return _kernel.sort_relators(
+        [_kernel.canonical_relator(r.letters) for r in P.relators])
 
 
 def canonical_presentation(P):
     """The canonical representative of P's move-symmetry class."""
-    rank, rels = canonical_form(P)
-    return Presentation(rank, [Word(r) for r in rels])
+    rels = canonical_form(P)
+    return Presentation(len(rels), [Word(r) for r in rels])
 
 
-def _is_trivial_state(state):
-    rank, rels = state
+def _is_trivial_state(rels):
     # every trivial relator has length 1, and canonical order puts the
     # longest relator last, so most states are rejected without building
     # the trivial one
     if rels and len(rels[-1]) != 1:
         return False
-    return rels == tuple((k,) for k in range(1, rank + 1))
+    return rels == tuple((k,) for k in range(1, len(rels) + 1))
 
 
 def is_trivial_presentation(P):
@@ -439,6 +440,8 @@ def move_from_dict(doc):
         if tag == "composite":
             return Composite(tuple(move_from_dict(m) for m in doc["moves"]))
         if tag == "multiply_by_conjugate":
+            if not isinstance(doc["conjugator"], str):
+                raise TypeError("the conjugator must be a word string")
             return MultiplyByConjugate(doc["i"], doc["j"],
                                        parse_word(doc["conjugator"]), doc.get("sign", 1))
         for cls, t in _MOVE_TAGS.items():

@@ -20,7 +20,9 @@ presentations.atomic_move applies, the one definition of each atomic
 move that apply_move replays, so a class edge and its atomic moves
 cannot drift apart.
 
-The visited table holds one parent link per class.  Only the path to a
+A class is keyed by its sorted tuple of canonical relators
+(presentations.canonical_form); the rank is the tuple's length.  The
+visited table holds one parent link per class.  Only the path to a
 trivial class needs its edges; certificate expansion re-derives each
 one from the parent's successors.
 
@@ -133,10 +135,6 @@ def verify(cert, trace=False):
 # ---------------------------------------------------------------------------
 # Class states
 
-def _state_total(state):
-    return sum(len(r) for r in state[1])
-
-
 _STABILIZE = Stabilize()
 
 
@@ -151,12 +149,12 @@ def _basis_changes(rank):
     return tuple(moves)
 
 
-def _successors(state, max_len, regime):
-    """Child classes of a state with their edges, in the fixed
+def _successors(rels, max_len, regime):
+    """Child classes of a class with their edges, in the fixed
     deterministic enumeration order: ("mul", i, j, p, eps, q) for a
     multiplication, ("move", m) for any other atomic move m."""
-    rank, rels = state
-    total = _state_total(state)
+    rank = len(rels)
+    total = sum(map(len, rels))
     sort_relators = _kernel.sort_relators
     out = []
 
@@ -172,12 +170,11 @@ def _successors(state, max_len, regime):
                 continue
             for child_rel, (p, eps, q) in _kernel.expand_multiply(ci, rels[j - 1], budget).items():
                 out.append((("mul", i, j, p, eps, q),
-                            (rank, sort_relators(head + (child_rel,) + tail))))
+                            sort_relators(head + (child_rel,) + tail)))
 
     # stabilize
     if total + 1 <= max_len:
-        grown, grown_rels = atomic_move(rank, rels, _STABILIZE)
-        out.append((("move", _STABILIZE), (grown, sort_relators(grown_rels))))
+        out.append((("move", _STABILIZE), sort_relators(atomic_move(rels, _STABILIZE))))
 
     # destabilize relator i when it is a single letter; atomic_move
     # rejects the move when that generator occurs in another relator.
@@ -186,17 +183,16 @@ def _successors(state, max_len, regime):
         if len(rels[i - 1]) == 1:
             move = Destabilize(i)
             try:
-                child = atomic_move(rank, rels, move)
+                child = atomic_move(rels, move)
             except MoveError:
                 continue
             out.append((("move", move), child))
 
     if regime == "extended":
         for move in _basis_changes(rank):
-            _, mapped = atomic_move(rank, rels, move)
-            child = (rank, sort_relators(map(_kernel.canonical_relator, mapped)))
+            child = sort_relators(map(_kernel.canonical_relator, atomic_move(rels, move)))
             # only a Nielsen move can lengthen the presentation
-            if _state_total(child) <= max_len:
+            if sum(map(len, child)) <= max_len:
                 out.append((("move", move), child))
 
     return out
@@ -212,7 +208,7 @@ def _expand_certificate(start, visited, goal, max_len, regime):
     The path follows the parent links of `visited`.  Each step's edge is
     the first edge of the parent's successors that yields the child,
     which is the edge that inserted the child.  The moves are simulated
-    by atomic_move on the rank and relator letter tuples: bookkeeping
+    by atomic_move on the relator letter tuples: bookkeeping
     moves bring each presentation on the path to its canonical
     representative, from which the next class edge is realized.
     """
@@ -221,15 +217,15 @@ def _expand_certificate(start, visited, goal, max_len, regime):
         path.append(visited[path[-1]])
     path.reverse()
     moves = []
-    rank, rels = start.rank, tuple(r.letters for r in start.relators)
+    rels = tuple(r.letters for r in start.relators)
 
     def emit(move):
-        nonlocal rank, rels
+        nonlocal rels
         moves.append(move)
-        rank, rels = atomic_move(rank, rels, move)
+        rels = atomic_move(rels, move)
 
     def canonicalize():
-        for i in range(1, rank + 1):
+        for i in range(1, len(rels) + 1):
             # cyclically reduce relator i
             while len(rels[i - 1]) >= 2 and rels[i - 1][0] == -rels[i - 1][-1]:
                 emit(ConjugateRelator(i, -rels[i - 1][0]))
@@ -244,8 +240,8 @@ def _expand_certificate(start, visited, goal, max_len, regime):
         # sort relators by the canonical order; relators pos.. always hold
         # target[pos - 1:], so the first match is the first least relator
         target = _kernel.sort_relators(rels)
-        for pos in range(1, rank + 1):
-            best = next(t for t in range(pos, rank + 1) if rels[t - 1] == target[pos - 1])
+        for pos in range(1, len(rels) + 1):
+            best = next(t for t in range(pos, len(rels) + 1) if rels[t - 1] == target[pos - 1])
             if best != pos:
                 emit(SwapRelators(pos, best))
 
@@ -264,7 +260,7 @@ def _expand_certificate(start, visited, goal, max_len, regime):
         else:
             emit(edge[1])
         canonicalize()
-        if (rank, rels) != child:
+        if rels != child:
             raise RuntimeError("certificate expansion diverged from the class path")
     return MoveCertificate(start, tuple(moves))
 

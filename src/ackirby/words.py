@@ -87,7 +87,7 @@ class Word:
         return Word._from_reduced(_kernel.reduce_word(self._letters + other._letters))
 
     def __pow__(self, n):
-        if not isinstance(n, int):
+        if type(n) is not int:   # not a bool either
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         # free reduction is confluent, so reducing the concatenation once
@@ -175,8 +175,8 @@ def map_generators(relators, images):
 def substitute(w, target, replacement):
     """Replace every occurrence of generator `target` (and its inverse)
     in w by `replacement` (resp. its inverse), then reduce."""
-    if target < 1:
-        raise WordError("target generator index must be >= 1, got %r" % (target,))
+    if type(target) is not int or target < 1:
+        raise WordError("target generator index must be an int >= 1, got %r" % (target,))
     (letters,) = map_generators((Word(w).letters,), {target: Word(replacement).letters})
     return Word._from_reduced(letters)
 
@@ -187,6 +187,8 @@ def exponent_sums(w, rank):
     >>> exponent_sums(parse_word("YXYxyx"), 2)
     (1, -1)
     """
+    if type(rank) is not int:
+        raise WordError("rank must be an int, got %r" % (rank,))
     w = Word(w)
     if w.max_generator() > rank:
         raise WordError(

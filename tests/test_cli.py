@@ -121,6 +121,24 @@ class TestPresCommands:
         assert "error:" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("conjugator", [[1], ["x"]], ids=("letter_list", "string_list"))
+    @pytest.mark.parametrize("command", ("pres_apply", "verify", "search_prefix"))
+    def test_non_string_conjugator_is_input_error(self, tmp_path, command, conjugator):
+        """A multiply_by_conjugate conjugator must be a word string."""
+        move = {"type": "multiply_by_conjugate", "i": 1, "j": 2,
+                "conjugator": conjugator}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"start": {"rank": 2, "relators": ["xY", "y"]},
+                                    "moves": [move]}))
+        argv = {"pres_apply": ("pres", "apply", "--pres", "2; xY; y", "--moves", "-"),
+                "verify": ("verify", "--cert", str(cert)),
+                "search_prefix": ("search", "--pres", "2; xY; y", "--prefix", str(cert),
+                                  "--max-len", "8", "--max-depth", "4")}[command]
+        r = run(*argv, stdin=json.dumps([move]))
+        assert r.returncode == 1
+        last = r.stderr.splitlines()[-1]
+        assert last.startswith("error: malformed multiply_by_conjugate move record"), last
+
 
 class TestSearchCommand:
     def test_found_json_and_exit_zero(self):

@@ -130,6 +130,13 @@ class TestLabeling:
             PunctureLabeling({"L1": (2, 0), "L2": (1, 1),
                               "R1": (1, 0), "R2": (0, 1)})
 
+    def test_bool_and_float_coordinates_rejected(self):
+        """True and 0.0 equal the integer coordinates, so only a type
+        check keeps them out."""
+        with pytest.raises(CurveError, match="coordinates must be ints"):
+            PunctureLabeling({"L1": (True, False), "L2": (0.0, 1.0),
+                              "R1": (0, 0), "R2": (1, 1)})
+
 
 class TestPartition:
     def test_horizontal(self):

@@ -216,6 +216,21 @@ class TestWordValue:
         with pytest.raises(WordError):
             Word((True,))
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: exponent_sums(parse_word("x"), True), WordError),
+        (lambda: exponent_sums(parse_word("x"), 1.0), WordError),
+        (lambda: substitute(parse_word("xy"), True, parse_word("yy")), WordError),
+        (lambda: substitute(parse_word("xy"), 1.0, parse_word("yy")), WordError),
+        (lambda: parse_word("xy") ** True, TypeError),
+        (lambda: parse_word("xy") ** 1.0, TypeError),
+    ], ids=("exponent_sums_bool_rank", "exponent_sums_float_rank",
+            "substitute_bool_target", "substitute_float_target",
+            "pow_bool", "pow_float"))
+    def test_non_int_integer_argument_rejected(self, call, error):
+        """A bool is never read as the number 1 (nor a float as an int)."""
+        with pytest.raises(error):
+            call()
+
     def test_mul_and_pow(self):
         x = parse_word("x")
         assert x * x.inverse() == Word(())

@@ -94,6 +94,29 @@ def _emit(args, doc, text_lines):
             print(line)
 
 
+def _emit_record(args, fields):
+    """Print a flat result from its `(key, value[, text])` fields: the
+    JSON object {key: value}, or one `key: text` line per field in field
+    order, with `-` for `_` in the key.  The text defaults to the value,
+    written `yes`/`no` for a bool.
+
+    >>> _emit_record(argparse.Namespace(format="text"),
+    ...              [("weak_trivial_form", True), ("trivial", False), ("rank", 2),
+    ...               ("sums", [3, -2], "3 -2")])
+    weak-trivial-form: yes
+    trivial: no
+    rank: 2
+    sums: 3 -2
+    """
+    if args.format == "json":
+        print(_dump({field[0]: field[1] for field in fields}))
+        return
+    for key, value, *text in fields:
+        if not text:
+            text = [_yesno(value) if isinstance(value, bool) else value]
+        print("%s: %s" % (key.replace("_", "-"), text[0]))
+
+
 def _move_brief(move):
     return json.dumps(move_to_dict(move), sort_keys=True, separators=(",", ":"))
 
@@ -105,11 +128,10 @@ def _read_text(path):
         return fh.read()
 
 
-def _write_text(path, text):
+def _write_cert(path, cert):
     with open(path, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        print(_dump(certificate_to_dict(cert)), file=fh)
+    print("wrote certificate: %s" % path, file=sys.stderr)
 
 
 def _yesno(flag):
@@ -170,19 +192,15 @@ def _cmd_word(args):
         _emit(args, {"word": format_word(v)}, [format_word(v)])
     elif args.op == "cyclic":
         conj, core = cyclic_reduce(w)
-        _emit(args,
-              {"conjugator": format_word(conj), "core": format_word(core)},
-              ["conjugator: %s" % format_word(conj), "core: %s" % format_word(core)])
+        _emit_record(args, [("conjugator", format_word(conj)), ("core", format_word(core))])
     elif args.op == "canon":
         c = Word(_kernel.canonical_relator(w.letters))
         _emit(args, {"word": format_word(c)}, [format_word(c)])
     else:  # sums
         rank = args.rank if args.rank is not None else max(1, w.max_generator())
         sums = exponent_sums(w, rank)
-        _emit(args,
-              {"rank": rank, "sums": list(sums)},
-              ["rank: %d" % rank,
-               "sums: %s" % " ".join(str(v) for v in sums)])
+        _emit_record(args, [("rank", rank),
+                            ("sums", list(sums), " ".join(str(v) for v in sums))])
     return EXIT_OK
 
 
@@ -190,28 +208,17 @@ def _cmd_pres(args):
     P = _load_presentation(args)
     if args.op == "info":
         A = abelianization_matrix(P)
-        det = integer_determinant(A)
-        trivial = is_trivial_presentation(P)
-        doc = {
-            "rank": P.rank,
-            "relators": [format_word(r) for r in P.relators],
-            "total_length": total_length(P),
-            "abelianization": [list(row) for row in A],
-            "det": det,
-            "trivial": trivial,
-            "canonical": presentation_to_text(canonical_presentation(P)),
-        }
-        lines = [
-            "rank: %d" % P.rank,
-            "relators: %s" % "; ".join(format_word(r) for r in P.relators),
-            "total-length: %d" % total_length(P),
-            "abelianization: %s" % " | ".join(
-                " ".join(str(v) for v in row) for row in A),
-            "det: %d" % det,
-            "trivial: %s" % _yesno(trivial),
-            "canonical: %s" % doc["canonical"],
-        ]
-        _emit(args, doc, lines)
+        rels = [format_word(r) for r in P.relators]
+        _emit_record(args, [
+            ("rank", P.rank),
+            ("relators", rels, "; ".join(rels)),
+            ("total_length", total_length(P)),
+            ("abelianization", [list(row) for row in A],
+             " | ".join(" ".join(str(v) for v in row) for row in A)),
+            ("det", integer_determinant(A)),
+            ("trivial", is_trivial_presentation(P)),
+            ("canonical", presentation_to_text(canonical_presentation(P))),
+        ])
         return EXIT_OK
     if args.op == "canon":
         P = canonical_presentation(P)
@@ -257,8 +264,7 @@ def _emit_outcome(args, start, cfg, outcome):
             lines.append("move %d: %s" % (k, _move_brief(move)))
     _emit(args, doc, lines)
     if args.cert_out and outcome.found:
-        _write_text(args.cert_out, _dump(certificate_to_dict(outcome.certificate)))
-        print("wrote certificate: %s" % args.cert_out, file=sys.stderr)
+        _write_cert(args.cert_out, outcome.certificate)
     return _OUTCOME_EXIT[outcome.status]
 
 
@@ -337,12 +343,10 @@ def _cmd_family(args):
         return EXIT_OK
     # gersten
     cert = gersten_prefix_certificate() if args.prefix_only else gersten_certificate()
-    payload = _dump(certificate_to_dict(cert))
     if args.cert_out:
-        _write_text(args.cert_out, payload)
-        print("wrote certificate: %s" % args.cert_out, file=sys.stderr)
+        _write_cert(args.cert_out, cert)
     else:
-        print(payload)
+        print(_dump(certificate_to_dict(cert)))
     return EXIT_OK
 
 
@@ -356,14 +360,11 @@ def _cmd_kirby(args):
         return EXIT_OK
     if args.op == "gpr":
         ok = gpr_necessary_condition(M)
-        det = M.determinant()
-        _emit(args,
-              {"det": det, "gpr_necessary": ok},
-              ["det: %d" % det, "gpr-necessary: %s" % _yesno(ok)])
+        _emit_record(args, [("det", M.determinant()), ("gpr_necessary", ok)])
         return EXIT_OK if ok else EXIT_NEGATIVE
     # weakform
     ok = is_weak_trivial_form(M)
-    _emit(args, {"weak_trivial_form": ok}, ["weak-trivial-form: %s" % _yesno(ok)])
+    _emit_record(args, [("weak_trivial_form", ok)])
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -382,22 +383,14 @@ def _cmd_curves(args):
     slope = Slope(int(a), int(b))
     sides = partition(slope, labeling)
     cand = is_candidate(slope, labeling)
-    z3 = z3_class(slope, labeling)
-    doc = {
-        "slope": list(slope.direction),
-        "parity": list(slope.parity),
-        "partition": [list(side) for side in sides],
-        "z3": z3,
-        "candidate": cand,
-    }
-    lines = [
-        "slope: %s" % _slope_text(slope),
-        "parity: (%d, %d)" % slope.parity,
-        "partition: %s" % " | ".join(",".join(side) for side in sides),
-        "z3: %d" % z3,
-        "candidate: %s" % _yesno(cand),
-    ]
-    _emit(args, doc, lines)
+    _emit_record(args, [
+        ("slope", list(slope.direction), _slope_text(slope)),
+        ("parity", list(slope.parity), "(%d, %d)" % slope.parity),
+        ("partition", [list(side) for side in sides],
+         " | ".join(",".join(side) for side in sides)),
+        ("z3", z3_class(slope, labeling)),
+        ("candidate", cand),
+    ])
     return EXIT_OK if cand else EXIT_NEGATIVE
 
 

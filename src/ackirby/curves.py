@@ -79,14 +79,17 @@ class PunctureLabeling:
         assignment = dict(DEFAULT_LABELING if assignment is None else assignment)
         if sorted(assignment) != sorted(WEIGHTS):
             raise CurveError("labeling needs exactly the labels L1, L2, R1, R2")
-        pts = [tuple(assignment[lab]) for lab in sorted(WEIGHTS)]
+        try:
+            self._points = {lab: tuple(assignment[lab]) for lab in WEIGHTS}
+        except TypeError:
+            raise CurveError("labeling coordinates must be pairs, got %r"
+                             % (assignment,)) from None
         # `type`: True and 0.0 compare equal to the integer coordinates
-        if any(type(v) is not int for pt in pts for v in pt):
+        if any(type(v) is not int for pt in self._points.values() for v in pt):
             raise CurveError("labeling coordinates must be ints, got %r" % (assignment,))
-        if sorted(pts) != sorted(POINTS):
+        if sorted(self._points.values()) != sorted(POINTS):
             raise CurveError("labeling must assign the four half-integer points"
                              " (0,0), (1,0), (0,1), (1,1) bijectively")
-        self._points = {lab: tuple(assignment[lab]) for lab in WEIGHTS}
         self._labels = {pt: lab for lab, pt in self._points.items()}
 
     def point(self, label):

@@ -437,17 +437,17 @@ def move_from_dict(doc):
         raise ValueError("move record must be an object, got %r" % (doc,))
     tag = doc.get("type")
     try:
-        if tag == "composite":
-            return Composite(tuple(move_from_dict(m) for m in doc["moves"]))
-        if tag == "multiply_by_conjugate":
-            if not isinstance(doc["conjugator"], str):
-                raise TypeError("the conjugator must be a word string")
-            return MultiplyByConjugate(doc["i"], doc["j"],
-                                       parse_word(doc["conjugator"]), doc.get("sign", 1))
         for cls, t in _MOVE_TAGS.items():
             if t == tag:
                 fields = {k: v for k, v in doc.items() if k != "type"}
+                # decode the two non-scalar fields; the constructor checks the keys
+                if "moves" in fields:
+                    fields["moves"] = tuple(move_from_dict(m) for m in fields["moves"])
+                if "conjugator" in fields:
+                    if not isinstance(fields["conjugator"], str):
+                        raise TypeError("the conjugator must be a word string")
+                    fields["conjugator"] = parse_word(fields["conjugator"])
                 return cls(**fields)
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError("malformed %s move record %r: %s" % (tag, doc, exc)) from None
     raise ValueError("unknown move record %r" % (doc,))

@@ -109,11 +109,14 @@ class TestPresCommands:
         [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": True}],
         [{"type": "multiply_by_conjugate", "i": 1, "j": 2, "conjugator": "x", "sign": True}],
         [{"type": "nielsen_generator", "i": 1, "j": 2, "sign": 1.0}],
+        [{"type": "multiply_by_conjugate", "i": 1, "j": 2, "conjugator": "x", "sing": -1}],
+        [{"type": "composite", "moves": [], "extra": 1}],
         5,
         {},
     ], ids=("missing_field", "extra_field", "not_an_object", "bad_nested_record",
             "bool_index", "bool_letter", "bool_nielsen_sign", "bool_conjugate_sign",
-            "float_nielsen_sign", "number_not_list", "object_not_list"))
+            "float_nielsen_sign", "misspelt_conjugate_sign", "composite_extra_field",
+            "number_not_list", "object_not_list"))
     def test_malformed_move_record_is_input_error(self, moves):
         r = run("pres", "apply", "--pres", "2; xy; y", "--moves", "-",
                 stdin=json.dumps(moves))

@@ -15,10 +15,11 @@ import pytest
 from ackirby import cli
 
 MATRIX = "3\n1 1 0\n1 2 1\n0 1 0\nh h h\n"
+HOPF = "2\n0 1\n1 0\nd h\n"   # a canceling Hopf pair: dotted circle and 0-framed 2-handle
 MOVES = '[{"type": "stabilize"}, {"type": "invert_relator", "i": 1}]'
 FOUND_N1 = ["search", "--family", "n=1", "--max-len", "13", "--max-depth", "24"]
 
-# name -> argv; "{pres}", "{moves}", "{matrix}" and "{cert}" name the
+# name -> argv; "{pres}", "{moves}", "{matrix}", "{hopf}" and "{cert}" name the
 # files the `files` fixture writes, and "-" reads `STDIN`
 BATTERY = {
     "word-reduce": ["word", "reduce", "xyYXxxY"],
@@ -26,6 +27,7 @@ BATTERY = {
     "word-cyclic": ["word", "cyclic", "Yxyxy", "--format", "json"],
     "word-canon": ["word", "canon", "xxYxYxxYw"],
     "word-sums": ["word", "sums", "xxxYYz"],
+    "word-sums-json": ["word", "sums", "xxxYYz", "--format", "json"],
     "pres-canon": ["pres", "canon", "--pres", "2; xxxYY; YXYxyx"],
     "pres-canon-stdin": ["pres", "canon", "--in", "-"],
     "pres-info": ["pres", "info", "--in", "{pres}"],
@@ -54,10 +56,14 @@ BATTERY = {
     "kirby-blowdown": ["kirby", "blowdown", "--in", "{matrix}", "--component", "1",
                        "--format", "json"],
     "kirby-gpr": ["kirby", "gpr", "--in", "{matrix}"],
+    "kirby-gpr-json": ["kirby", "gpr", "--in", "{matrix}", "--format", "json"],
     "kirby-weakform": ["kirby", "weakform", "--in", "{matrix}"],
+    "kirby-weakform-hopf": ["kirby", "weakform", "--in", "{hopf}", "--format", "json"],
     "curves-enumerate": ["curves", "enumerate", "--height", "4"],
     "curves-classify": ["curves", "classify", "--slope", "3/5",
                         "--labeling", "L1=0,0;L2=1,0;R1=1,1;R2=0,1", "--format", "json"],
+    "curves-classify-text": ["curves", "classify", "--slope=-1/2",
+                             "--labeling", "L1=0,0;L2=1,0;R1=1,1;R2=0,1"],
     "input-error": ["pres", "info", "--pres", "2; xy"],
     # usage errors: the op requirement table, then argparse and budget checks
     "usage-slide-bare": ["kirby", "slide", "--in", "{matrix}"],
@@ -77,6 +83,8 @@ STDIN = "2; xxxYY; YXYxyx\n"
 PINNED = {
     "curves-classify":
         (0, "5854cc3fba19476536772915414be793e6bd280dcb5a19086ccaa617673042b4", None),
+    "curves-classify-text":
+        (1, "3611d5d84e51e9d41b4fb9fe1a0d840cc44f34cc45fd6b800892c7182e3773e8", None),
     "curves-enumerate":
         (0, "2fd1ce8775678f1f13cf6ff07926cb22bb31e2768492adee06e2621378959a23", None),
     "family-gersten":
@@ -95,10 +103,14 @@ PINNED = {
         (0, "5031f9112ab53e01744d67335b52e58a0501177108146dd4634fe1b1af2f09a3", None),
     "kirby-gpr":
         (1, "c614d8f542a22dd3a486a53eb397d09bbd96feea25d31ed083aaacf9917d8eb6", None),
+    "kirby-gpr-json":
+        (1, "13a2a0a5083528b88a56224cf1ed2c6b5781855e90ff46eeb68161d3767e6c4f", None),
     "kirby-slide":
         (0, "9e6c16d4e5b9902f70209bba43a93ffe25ba6f6cd00c3401468c34639316a944", None),
     "kirby-weakform":
         (1, "b277ecf8c9633cb7ed4ba70deabdced9d2e803b68304b932cf7c80874ad49865", None),
+    "kirby-weakform-hopf":
+        (0, "990f830dffb65c66ced2251862681dfe90945d46f22cd2293e5e0fbf70e2733f", None),
     "pres-apply":
         (0, "4fbdfa83ffcb13d94c7490955ca45a9f409c45295d3a4b01c2ca74ae58b15bb1", None),
     "pres-canon":
@@ -165,14 +177,17 @@ PINNED = {
         (0, "5d63f7c66e6a44654098bab014dec832f7a171877f3286233130e73db087c399", None),
     "word-sums":
         (0, "6a12be78236bf0d26b67cca03ee459c62c6650b50bae78afc4f11ff73cdd542e", None),
+    "word-sums-json":
+        (0, "b2deb1c77e7b122e1db8c749bea8dc5e36edd2f63b76255ca5ce22f6be9cf373", None),
 }
 
 
 @pytest.fixture
 def files(tmp_path, capsys):
-    paths = {name: str(tmp_path / name) for name in ("pres", "moves", "matrix", "cert")}
+    paths = {name: str(tmp_path / name)
+             for name in ("pres", "moves", "matrix", "hopf", "cert")}
     for name, text in (("pres", "2; YXYxyx; xxxYY\n"), ("moves", MOVES),
-                       ("matrix", MATRIX)):
+                       ("matrix", MATRIX), ("hopf", HOPF)):
         with open(paths[name], "w") as fh:
             fh.write(text)
     assert cli.main(["family", "gersten", "--cert-out", paths["cert"]]) == cli.EXIT_OK

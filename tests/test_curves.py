@@ -137,6 +137,10 @@ class TestLabeling:
             PunctureLabeling({"L1": (True, False), "L2": (0.0, 1.0),
                               "R1": (0, 0), "R2": (1, 1)})
 
+    def test_non_pair_coordinate_rejected(self):
+        with pytest.raises(CurveError, match="coordinates must be pairs"):
+            PunctureLabeling({"L1": 5, "L2": (0, 1), "R1": (0, 0), "R2": (1, 1)})
+
 
 class TestPartition:
     def test_horizontal(self):

@@ -12,6 +12,7 @@ MODULE_NAMES = [
     "ackirby.search",
     "ackirby.kirby",
     "ackirby.curves",
+    "ackirby.cli",
 ]
 
 

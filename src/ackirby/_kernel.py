@@ -3,16 +3,21 @@
 The compiled kernel (`_kernel_c`, built from the hand-written
 `_kernel_c.c`) is preferred; the pure-Python twin (`_kernel_py`) is the
 fallback.  Set ACKIRBY_PURE=1 to force the fallback, e.g. to compare
-results or benchmark.  A compiled module that lacks any of the five
+results or benchmark.  A compiled module that lacks any of the eight
 functions counts as absent, so a stale build falls back too, as does
 one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 
-The kernel is the five functions the library calls on its hot paths:
-`reduce_word`, `invert_word`, `canonical_relator`, `sort_relators` and
-`expand_multiply`.  Both kernels apply the search's length budget inside
+The kernel is the eight functions the library calls on its hot paths:
+`reduce_word`, `invert_word`, `canonical_relator`, `sort_relators`,
+`expand_multiply`, `pack_state`, `unpack_state` and `expand_class`.
+Both kernels apply the search's length budget inside
 `expand_multiply(ci, cj, max_len)`: a product whose cyclically reduced
 core is longer than max_len is dropped before it is canonicalized.
-Both define the canonical relator order in `sort_relators`.
+Both define the canonical relator order in `sort_relators`, and the
+packed class key, a `bytes` string, in `pack_state` and `unpack_state`;
+`MAX_PACKED_GENERATOR` is the largest generator a key holds.
+`expand_class(state, max_len)` takes a packed class to its packed
+strict-move children, one kernel call per search state.
 """
 
 import os
@@ -28,11 +33,13 @@ try:
             if getattr(_kernel_c, "SOURCE_CRC32", None) != "%08x" % zlib.crc32(_fh.read()):
                 raise ImportError("_kernel_c was built from another _kernel_c.c")
     from ackirby._kernel_c import (
-        canonical_relator, expand_multiply, invert_word, reduce_word, sort_relators,
+        MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,
+        invert_word, pack_state, reduce_word, sort_relators, unpack_state,
     )
     BACKEND = "c"
 except ImportError:
     from ackirby._kernel_py import (
-        canonical_relator, expand_multiply, invert_word, reduce_word, sort_relators,
+        MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,
+        invert_word, pack_state, reduce_word, sort_relators, unpack_state,
     )
     BACKEND = "python"

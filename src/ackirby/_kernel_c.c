@@ -8,10 +8,10 @@
  * with OverflowError, so every key fits in a C long even where that is 32
  * bits, and nothing wraps.
  *
- * The module holds the five functions the library calls on its hot paths:
- * reduce_word, invert_word, canonical_relator, sort_relators and
- * expand_multiply.  Cold word operations are written once, in Python, at
- * their callers.
+ * The module holds the eight functions the library calls on its hot paths:
+ * reduce_word, invert_word, canonical_relator, sort_relators,
+ * expand_multiply, pack_state, unpack_state and expand_class.  Cold word
+ * operations are written once, in Python, at their callers.
  *
  * setup.py passes this file's CRC-32 (8 hex digits) as SOURCE_CRC32, which
  * the module exposes, so that ackirby._kernel can tell a stale build.
@@ -22,12 +22,19 @@
  * sort_relators is the one definition of the canonical relator order
  * (length, then keys); it compares key buffers and boxes nothing but its
  * result tuple.
+ *
+ * A packed state (see _kernel_py) holds, for each relator in canonical
+ * order, its keys plus one as bytes, then a 0 byte; generators above
+ * MAX_PACKED_GENERATOR do not fit.  expand_class reads a packed class and
+ * writes its children packed, through the product loop that
+ * expand_multiply uses.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #define MAX_GENERATOR (1L << 30)
+#define MAX_PACKED_GENERATOR 127
 
 static long
 key_of(long v)
@@ -283,12 +290,17 @@ done:
     return out;
 }
 
-/* Witness-ordered canonical products of rotations of the ni keys at a with
- * rotations of the nj keys at b or of their inverse, into the dict res.
- * Products whose core is longer than limit are skipped. */
+/* Receives each product's canonical core, the n keys at c (n may be 0),
+ * with its witness (p, eps, q); 0 to go on, -1 with an exception set. */
+typedef int (*product_sink)(void *ctx, const long *c, Py_ssize_t n,
+                            Py_ssize_t p, int eps, Py_ssize_t q);
+
+/* Every canonical product of a rotation of the ni keys at a with a
+ * rotation of the nj keys at b or of their inverse, in witness order, into
+ * sink.  Products whose core is longer than limit are skipped. */
 static int
-multiply_into(PyObject *res, const long *a, Py_ssize_t ni,
-              const long *b, Py_ssize_t nj, Py_ssize_t limit)
+for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
+                 Py_ssize_t limit, product_sink sink, void *ctx)
 {
     Py_ssize_t np = ni ? ni : 1, nq = nj ? nj : 1, m = ni < nj ? ni : nj;
     long *buf = PyMem_New(long, 2 * ni + 4 * nj + 5 * (ni + nj) + 1);
@@ -325,27 +337,34 @@ multiply_into(PyObject *res, const long *a, Py_ssize_t ni,
                 Py_ssize_t n = j - i + 1;
                 if (n > limit)
                     continue;
-                PyObject *child = n ? box_word(least_rotation(w + i, n, rot), n, 1)
-                                    : PyTuple_New(0);
-                if (child == NULL)
-                    goto fail;
-                int seen = PyDict_Contains(res, child);
-                if (seen == 0) {
-                    PyObject *witness = Py_BuildValue("(nin)", p, e ? -1 : 1, q);
-                    seen = witness ? PyDict_SetItem(res, child, witness) : -1;
-                    Py_XDECREF(witness);
+                if (sink(ctx, n ? least_rotation(w + i, n, rot) : w, n,
+                         p, e ? -1 : 1, q) < 0) {
+                    PyMem_Free(buf);
+                    return -1;
                 }
-                Py_DECREF(child);
-                if (seen < 0)
-                    goto fail;
             }
         }
     }
     PyMem_Free(buf);
     return 0;
-fail:
-    PyMem_Free(buf);
-    return -1;
+}
+
+/* expand_multiply's sink: the boxed child with its first witness, into
+ * the dict ctx. */
+static int
+witness_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssize_t q)
+{
+    PyObject *child = box_word(c, n, 1);
+    if (child == NULL)
+        return -1;
+    int seen = PyDict_Contains(ctx, child);
+    if (seen == 0) {
+        PyObject *witness = Py_BuildValue("(nin)", p, eps, q);
+        seen = witness ? PyDict_SetItem(ctx, child, witness) : -1;
+        Py_XDECREF(witness);
+    }
+    Py_DECREF(child);
+    return seen < 0 ? -1 : 0;
 }
 
 PyDoc_STRVAR(expand_multiply_doc,
@@ -373,11 +392,273 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     long *b = load_word(cj, &nj, 1);
     PyObject *res = b ? PyDict_New() : NULL;
-    if (res != NULL && multiply_into(res, a, ni, b, nj, limit) < 0)
+    if (res != NULL && for_each_product(a, ni, b, nj, limit, witness_sink, res) < 0)
         Py_CLEAR(res);
     PyMem_Free(a);
     PyMem_Free(b);
     return res;
+}
+
+PyDoc_STRVAR(pack_state_doc,
+"pack_state(rels)\n--\n\n"
+"Packed state of relators given in canonical order; it does not sort\n"
+"them.  OverflowError for a generator above MAX_PACKED_GENERATOR.");
+
+static PyObject *
+pack_state(PyObject *self, PyObject *rels)
+{
+    PyObject *fast = PySequence_Fast(rels, "relators must be a sequence of words");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), size = n;
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    PyObject *out = NULL;
+    /* zeroed, so that every entry's keys can be freed */
+    relator_entry *e = PyMem_Calloc(n + 1, sizeof(relator_entry));
+    if (e == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        e[i].keys = load_word(items[i], &e[i].len, 1);
+        if (e[i].keys == NULL)
+            goto done;
+        for (Py_ssize_t k = 0; k < e[i].len; k++)
+            if (e[i].keys[k] >= 2 * MAX_PACKED_GENERATOR) {
+                PyErr_Format(PyExc_OverflowError, "generator index of letter %ld exceeds %d",
+                             letter_of(e[i].keys[k]), MAX_PACKED_GENERATOR);
+                goto done;
+            }
+        size += e[i].len;
+    }
+    out = PyBytes_FromStringAndSize(NULL, size);
+    if (out == NULL)
+        goto done;
+    unsigned char *o = (unsigned char *)PyBytes_AS_STRING(out);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        for (Py_ssize_t k = 0; k < e[i].len; k++)
+            *o++ = (unsigned char)(e[i].keys[k] + 1);
+        *o++ = 0;
+    }
+done:
+    if (e != NULL) {
+        for (Py_ssize_t i = 0; i < n; i++)
+            PyMem_Free(e[i].keys);
+        PyMem_Free(e);
+    }
+    Py_DECREF(fast);
+    return out;
+}
+
+/* Whether bytes is a packed state: empty, or ending with a 0 byte. */
+static int
+check_state(PyObject *state)
+{
+    if (!PyBytes_Check(state)) {
+        PyErr_Format(PyExc_TypeError, "a packed state must be bytes, got %R", state);
+        return -1;
+    }
+    Py_ssize_t size = PyBytes_GET_SIZE(state);
+    if (size && PyBytes_AS_STRING(state)[size - 1] != 0) {
+        PyErr_SetString(PyExc_ValueError, "a packed state must end with a 0 byte");
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(unpack_state_doc,
+"unpack_state(state)\n--\n\n"
+"Relators of a packed state, as letter tuples; inverse of pack_state.");
+
+static PyObject *
+unpack_state(PyObject *self, PyObject *state)
+{
+    if (check_state(state) < 0)
+        return NULL;
+    const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(state);
+    Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
+    for (Py_ssize_t t = 0; t < size; t++)
+        rank += s[t] == 0;
+    PyObject *out = PyTuple_New(rank);
+    for (Py_ssize_t r = 0, t = 0; out != NULL && r < rank; r++) {
+        Py_ssize_t n = 0;
+        while (s[t + n])
+            n++;
+        PyObject *rel = PyTuple_New(n);
+        for (Py_ssize_t k = 0; rel != NULL && k < n; k++) {
+            PyObject *v = PyLong_FromLong(letter_of(s[t + k] - 1));
+            if (v == NULL)
+                Py_CLEAR(rel);
+            else
+                PyTuple_SET_ITEM(rel, k, v);
+        }
+        if (rel == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, r, rel);
+        t += n + 1;
+    }
+    return out;
+}
+
+/* A packed class being expanded: its bytes, the start and length of each
+ * relator there, the relator a product replaces (-1: none), the buffer a
+ * child is packed into, and the children so far, in order and as a set. */
+typedef struct {
+    const unsigned char *s;
+    Py_ssize_t rank, *start, *len, skip;
+    unsigned char *out;
+    PyObject *children, *seen;
+} class_ctx;
+
+/* Appends the packed child in x->out[0..size) unless it is already there. */
+static int
+add_child(class_ctx *x, Py_ssize_t size)
+{
+    PyObject *child = PyBytes_FromStringAndSize((const char *)x->out, size);
+    if (child == NULL)
+        return -1;
+    int seen = PySet_Contains(x->seen, child);
+    if (seen == 0) {
+        seen = PySet_Add(x->seen, child);
+        if (seen == 0)
+            seen = PyList_Append(x->children, child);
+    }
+    Py_DECREF(child);
+    return seen < 0 ? -1 : 0;
+}
+
+/* Whether relator r of the class sorts after the n keys at c. */
+static int
+relator_after(const class_ctx *x, Py_ssize_t r, const long *c, Py_ssize_t n)
+{
+    if (x->len[r] != n)
+        return x->len[r] > n;
+    const unsigned char *b = x->s + x->start[r];
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (b[k] != c[k] + 1)
+            return b[k] > c[k] + 1;
+    return 0;
+}
+
+/* The sink of expand_class: packs the class's relators but x->skip, with
+ * the n keys at c inserted in canonical order, and adds the child. */
+static int
+class_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssize_t q)
+{
+    class_ctx *x = ctx;
+    Py_ssize_t size = 0;
+    int placed = 0;
+    for (Py_ssize_t r = 0; r <= x->rank; r++) {
+        if (!placed && (r == x->rank || relator_after(x, r, c, n))) {
+            for (Py_ssize_t k = 0; k < n; k++)
+                x->out[size++] = (unsigned char)(c[k] + 1);
+            x->out[size++] = 0;
+            placed = 1;
+        }
+        if (r < x->rank && r != x->skip) {
+            memcpy(x->out + size, x->s + x->start[r], x->len[r] + 1);
+            size += x->len[r] + 1;
+        }
+    }
+    return add_child(x, size);
+}
+
+/* Adds the destabilization that drops relator r, a single letter, if its
+ * generator occurs in no other relator; the generators above move down. */
+static int
+add_destabilization(class_ctx *x, Py_ssize_t r, Py_ssize_t size)
+{
+    /* the generator's bytes are hi - 1 and hi */
+    int hi = x->s[x->start[r]] + (x->s[x->start[r]] & 1);
+    Py_ssize_t o = 0;
+    for (Py_ssize_t t = 0; t < size; t++) {
+        if (t == x->start[r] || t == x->start[r] + 1)
+            continue;
+        if (x->s[t] == hi || x->s[t] == hi - 1)
+            return 0;
+        x->out[o++] = x->s[t] > hi ? x->s[t] - 2 : x->s[t];
+    }
+    return add_child(x, o);
+}
+
+PyDoc_STRVAR(expand_class_doc,
+"expand_class(state, max_len)\n--\n\n"
+"Packed child classes of a packed class under the strict moves, within\n"
+"total length max_len, each once, in first-occurrence order; see\n"
+"_kernel_py.expand_class.");
+
+static PyObject *
+expand_class(PyObject *self, PyObject *args)
+{
+    PyObject *state;
+    Py_ssize_t max_len;
+    if (!PyArg_ParseTuple(args, "On:expand_class", &state, &max_len) || check_state(state) < 0)
+        return NULL;
+    /* any negative bound admits the same children; -1 keeps budgets from wrapping */
+    if (max_len < -1)
+        max_len = -1;
+    Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
+    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state)};
+    for (Py_ssize_t t = 0; t < size; t++)
+        rank += x.s[t] == 0;
+    x.rank = rank;
+    Py_ssize_t total = size - rank;
+    x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
+    long *keys = PyMem_New(long, size + 1);
+    x.out = PyMem_Malloc(2 * size + 3);
+    x.children = PyList_New(0);
+    x.seen = PySet_New(NULL);
+    if (x.start == NULL || keys == NULL || x.out == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (x.children == NULL || x.seen == NULL)
+        goto fail;
+    x.len = x.start + rank;
+    for (Py_ssize_t r = 0, t = 0; r < rank; r++) {
+        x.start[r] = t;
+        while (x.s[t])
+            t++;
+        x.len[r] = t++ - x.start[r];
+    }
+    for (Py_ssize_t t = 0; t < size; t++)
+        keys[t] = (long)x.s[t] - 1;
+
+    for (x.skip = 0; x.skip < rank; x.skip++) {
+        Py_ssize_t ni = x.len[x.skip], budget = max_len - (total - ni);
+        for (Py_ssize_t j = 0; j < rank; j++)
+            if (j != x.skip && x.len[j] > 0 &&
+                for_each_product(keys + x.start[x.skip], ni, keys + x.start[j], x.len[j],
+                                 budget, class_sink, &x) < 0)
+                goto fail;
+    }
+    if (total + 1 <= max_len) {
+        if (rank >= MAX_PACKED_GENERATOR) {
+            PyErr_Format(PyExc_OverflowError, "stabilizing adds generator %zd, above %d",
+                         rank + 1, MAX_PACKED_GENERATOR);
+            goto fail;
+        }
+        long key = 2 * (long)rank;
+        x.skip = -1;
+        if (class_sink(&x, &key, 1, 0, 0, 0) < 0)
+            goto fail;
+    }
+    for (Py_ssize_t r = 0; rank > 1 && r < rank; r++)
+        if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
+            goto fail;
+    Py_DECREF(x.seen);
+    PyMem_Free(x.start);
+    PyMem_Free(keys);
+    PyMem_Free(x.out);
+    return x.children;
+fail:
+    Py_XDECREF(x.children);
+    Py_XDECREF(x.seen);
+    PyMem_Free(x.start);
+    PyMem_Free(keys);
+    PyMem_Free(x.out);
+    return NULL;
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -387,6 +668,9 @@ static PyMethodDef kernel_methods[] = {
     {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
+    {"pack_state", pack_state, METH_O, pack_state_doc},
+    {"unpack_state", unpack_state, METH_O, unpack_state_doc},
+    {"expand_class", expand_class, METH_VARARGS, expand_class_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -402,7 +686,8 @@ PyMODINIT_FUNC
 PyInit__kernel_c(void)
 {
     PyObject *m = PyModule_Create(&kernel_module);
-    if (m != NULL && PyModule_AddStringConstant(m, "SOURCE_CRC32", SOURCE_CRC32) < 0)
+    if (m != NULL && (PyModule_AddStringConstant(m, "SOURCE_CRC32", SOURCE_CRC32) < 0
+                      || PyModule_AddIntMacro(m, MAX_PACKED_GENERATOR) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -2,11 +2,11 @@
 
 Letters are nonzero signed integers: +k is the k-th generator, -k its
 inverse.  Words are tuples of letters.  The compiled twin of this module
-(`_kernel_c`) implements the same five functions: `reduce_word`,
-`invert_word`, `canonical_relator`, `sort_relators` and
-`expand_multiply`, the ones the library calls on its hot paths; `_kernel`
-picks one module at import time.  Keep the two implementations in
-lockstep.
+(`_kernel_c`) implements the same eight functions: `reduce_word`,
+`invert_word`, `canonical_relator`, `sort_relators`, `expand_multiply`,
+`pack_state`, `unpack_state` and `expand_class`, the ones the library
+calls on its hot paths; `_kernel` picks one module at import time.  Keep
+the two implementations in lockstep.
 
 The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical
@@ -19,7 +19,17 @@ after the cyclic split, before any rotation is built or compared.
 
 `sort_relators` is the one definition of the canonical relator order:
 by length, then letter by letter in key order (x < X < y < Y < ...).
+
+A search class is keyed by its packed state, an immutable `bytes`
+string whose format `pack_state` and `unpack_state` alone define: for
+each relator in canonical order, one byte per letter equal to its key
+plus one (g_k -> 2k - 1, g_k^-1 -> 2k), then a 0 byte.  So generators
+above MAX_PACKED_GENERATOR do not fit.  Byte order is key order, so
+comparing two relators' bytes compares their keys.  `expand_class`
+takes a packed class to its packed strict-move children.
 """
+
+MAX_PACKED_GENERATOR = 127
 
 
 def _letter_key(v):
@@ -103,26 +113,10 @@ def sort_relators(rels):
     return tuple(sorted(rels, key=_relator_key))
 
 
-def expand_multiply(ci, cj, max_len=None):
-    """All canonical products of a rotation of ci with a rotation of
-    cj or of cj^-1, up to max_len letters (None: no limit).
-
-    Both inputs must be canonical relators.  Returns a dict mapping each
-    distinct child canonical relator to its first witness (p, eps, q):
-    rotate ci left by p, take cj (eps=+1) or cj^-1 (eps=-1) rotated left
-    by q, multiply on the right.  Witness order: p, then eps (+1 first),
-    then q.
-
-    Every product is cancelled at the seam and cyclically split on key
-    tuples.  A product whose core is longer than max_len is dropped there,
-    before it is canonicalized; since a child's length is its own, this
-    is the unbounded dict filtered to children of at most max_len letters.
-    The rest are canonicalized on key tuples; each distinct child is
-    decoded once.
-    """
-    a, b = _encode(ci), _encode(cj)
+def _products(a, b, limit):
+    """The canonical products of expand_multiply on the key tuples a and
+    b, each as a key tuple mapped to its first witness."""
     ni, nj = len(a), len(b)
-    limit = ni + nj if max_len is None else max_len
     m = ni if ni < nj else nj
     b_inv = tuple([k ^ 1 for k in reversed(b)])
     rots_a = [a[p:] + a[:p] for p in range(ni or 1)]
@@ -145,4 +139,115 @@ def expand_multiply(ci, cj, max_len=None):
                 child = _least_rotation(w[i:j + 1]) if i <= j else ()
                 if child not in res:
                     res[child] = (p, eps, q)
-    return {_decode(child): witness for child, witness in res.items()}
+    return res
+
+
+def expand_multiply(ci, cj, max_len=None):
+    """All canonical products of a rotation of ci with a rotation of
+    cj or of cj^-1, up to max_len letters (None: no limit).
+
+    Both inputs must be canonical relators.  Returns a dict mapping each
+    distinct child canonical relator to its first witness (p, eps, q):
+    rotate ci left by p, take cj (eps=+1) or cj^-1 (eps=-1) rotated left
+    by q, multiply on the right.  Witness order: p, then eps (+1 first),
+    then q.
+
+    Every product is cancelled at the seam and cyclically split on key
+    tuples.  A product whose core is longer than max_len is dropped there,
+    before it is canonicalized; since a child's length is its own, this
+    is the unbounded dict filtered to children of at most max_len letters.
+    The rest are canonicalized on key tuples; each distinct child is
+    decoded once.
+    """
+    a, b = _encode(ci), _encode(cj)
+    limit = len(a) + len(b) if max_len is None else max_len
+    return {_decode(child): witness for child, witness in _products(a, b, limit).items()}
+
+
+def pack_state(rels):
+    """Packed state of relators given in canonical order; it does not
+    sort them.  OverflowError for a generator above MAX_PACKED_GENERATOR.
+
+    >>> pack_state(((1,), (-2, 1)))
+    b'\\x01\\x00\\x04\\x01\\x00'
+    """
+    out = []
+    for r in rels:
+        for v in r:
+            if not -MAX_PACKED_GENERATOR <= v <= MAX_PACKED_GENERATOR:
+                raise OverflowError("generator index of letter %d exceeds %d"
+                                    % (v, MAX_PACKED_GENERATOR))
+            out.append(_letter_key(v) + 1)
+        out.append(0)
+    return bytes(out)
+
+
+def unpack_state(state):
+    """Relators of a packed state, as letter tuples; inverse of pack_state.
+    ValueError unless the state is empty or ends with a 0 byte.
+
+    >>> unpack_state(b'\\x01\\x00\\x04\\x01\\x00')
+    ((1,), (-2, 1))
+    """
+    if not isinstance(state, bytes):
+        raise TypeError("a packed state must be bytes, got %r" % (state,))
+    if state[-1:] not in (b"", b"\0"):
+        raise ValueError("a packed state must end with a 0 byte")
+    return tuple([tuple([(b + 1) >> 1 if b & 1 else -(b >> 1) for b in part])
+                  for part in state.split(b"\0")[:-1]])
+
+
+def _insert(rest, child):
+    """Packed state of the packed relators `rest`, in canonical order,
+    with the packed relator `child` inserted in canonical order."""
+    n = len(child)
+    pos = 0
+    for part in rest:
+        if len(part) > n or (len(part) == n and part > child):
+            break
+        pos += 1
+    return b"\0".join(rest[:pos] + [child] + rest[pos:]) + b"\0"
+
+
+def expand_class(state, max_len):
+    """Packed child classes of the packed class `state` under the strict
+    moves, within total length max_len: each distinct child once, at its
+    first occurrence in this order.
+
+    First the multiplications: for each relator i, then each nonempty
+    relator j != i, the children of expand_multiply(ci, cj, budget) in
+    witness order, where the budget is max_len less the other relators'
+    length.  Then the stabilization, if it fits.  Then the legal
+    destabilizations: a single-letter relator whose generator occurs in
+    no other relator is dropped, and the generators above it move down
+    one index.  Renumbering keeps canonical relators canonical and
+    sorted.
+    """
+    parts = state.split(b"\0")[:-1]
+    rank = len(parts)
+    total = len(state) - rank
+    out = {}
+    keys = [tuple([b - 1 for b in part]) for part in parts]
+    for i, ci in enumerate(keys):
+        rest = parts[:i] + parts[i + 1:]
+        budget = max_len - (total - len(ci))
+        for j, cj in enumerate(keys):
+            if j != i and cj:
+                for child in _products(ci, cj, budget):
+                    out[_insert(rest, bytes([k + 1 for k in child]))] = None
+    if total + 1 <= max_len:
+        if rank >= MAX_PACKED_GENERATOR:
+            raise OverflowError("stabilizing adds generator %d, above %d"
+                                % (rank + 1, MAX_PACKED_GENERATOR))
+        out[_insert(parts, bytes([2 * rank + 1]))] = None    # generator rank + 1
+    if rank > 1:
+        for i, part in enumerate(parts):
+            if len(part) != 1:
+                continue
+            hi = part[0] + (part[0] & 1)    # the bytes of the generator: hi - 1, hi
+            rest = parts[:i] + parts[i + 1:]
+            if any(hi in r or hi - 1 in r for r in rest):
+                continue
+            out[b"".join(bytes([b - 2 if b > hi else b for b in r]) + b"\0"
+                         for r in rest)] = None
+    return list(out)

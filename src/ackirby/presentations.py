@@ -15,6 +15,8 @@ Every atomic move is defined once, in atomic_move, on relator letter
 tuples whose number is the rank; the generator-level moves are generator
 maps applied by words.map_generators.  apply_move, the search's
 successors (search._successors) and certificate expansion all call it.
+The search itself expands packed classes with the kernel's
+`expand_class`, which a test holds to the children of `_successors`.
 """
 
 from dataclasses import dataclass
@@ -321,11 +323,11 @@ def inverse_move(move, context):
 # Canonical forms
 
 def canonical_form(P):
-    """Canonical form, the class key: the tuple of relators, each
+    """Canonical form of a class: the tuple of relators, each
     cyclically reduced and rotated (or inverted) to its minimal form,
     sorted by `_kernel.sort_relators`.  The rank is its length.
     Presentations in the same relator-permutation/inversion/conjugation
-    class share it."""
+    class share it; `_kernel.pack_state` of it is the search's class key."""
     return _kernel.sort_relators(
         [_kernel.canonical_relator(r.letters) for r in P.relators])
 

@@ -12,19 +12,27 @@ implicit; when a certificate is extracted, every class step is expanded
 into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
-The multiplication edges are built here (the products by
-`_kernel.expand_multiply`, which also drops every product longer than
-the relator's share of max_total_length before it canonicalizes it).
-Every other edge is ("move", m) for the atomic move m that
-presentations.atomic_move applies, the one definition of each atomic
-move that apply_move replays, so a class edge and its atomic moves
-cannot drift apart.
+A class is keyed by its packed state: the `bytes` string that
+`_kernel.pack_state` makes of its sorted canonical relators
+(presentations.canonical_form).  The visited table maps each key to its
+parent's key, and the search expands a class by one kernel call,
+`_kernel.expand_class`, which returns its strict-move children packed.
+The extended regime adds the basis-change children of the unpacked
+class.  A start of rank r searched within total length L reaches no
+generator above r + L, so `_validate_config` requires r + L <= 127,
+the most a packed key holds.
 
-A class is keyed by its sorted tuple of canonical relators
-(presentations.canonical_form); the rank is the tuple's length.  The
-visited table holds one parent link per class.  Only the path to a
-trivial class needs its edges; certificate expansion re-derives each
-one from the parent's successors.
+Only the path to a trivial class needs its edges.  Certificate
+expansion unpacks the classes on that path and re-derives each edge from
+the parent's successors (`_successors`).  The multiplication edges are
+built there (the products by `_kernel.expand_multiply`, which also drops
+every product longer than the relator's share of max_total_length
+before it canonicalizes it).  Every other edge is ("move", m) for the
+atomic move m that presentations.atomic_move applies, the one definition
+of each atomic move that apply_move replays, so a class edge and its
+atomic moves cannot drift apart.  `expand_class` yields the children of
+`_successors` in the same order, each once; a test checks the two
+against each other.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
@@ -55,7 +63,6 @@ from ackirby.presentations import (
     move_to_dict,
     presentation_from_dict,
     presentation_to_dict,
-    _is_trivial_state,
 )
 
 
@@ -149,6 +156,15 @@ def _basis_changes(rank):
     return tuple(moves)
 
 
+def _basis_change_edges(rels, max_len):
+    """The extended regime's (move, child class) pairs within max_len."""
+    for move in _basis_changes(len(rels)):
+        child = _kernel.sort_relators(map(_kernel.canonical_relator, atomic_move(rels, move)))
+        # only a Nielsen move can lengthen the presentation
+        if sum(map(len, child)) <= max_len:
+            yield move, child
+
+
 def _successors(rels, max_len, regime):
     """Child classes of a class with their edges, in the fixed
     deterministic enumeration order: ("mul", i, j, p, eps, q) for a
@@ -189,11 +205,7 @@ def _successors(rels, max_len, regime):
             out.append((("move", move), child))
 
     if regime == "extended":
-        for move in _basis_changes(rank):
-            child = sort_relators(map(_kernel.canonical_relator, atomic_move(rels, move)))
-            # only a Nielsen move can lengthen the presentation
-            if sum(map(len, child)) <= max_len:
-                out.append((("move", move), child))
+        out += [(("move", move), child) for move, child in _basis_change_edges(rels, max_len)]
 
     return out
 
@@ -205,9 +217,10 @@ def _expand_certificate(start, visited, goal, max_len, regime):
     """Turn the class path from `start` to `goal` into a replayable
     atomic certificate.
 
-    The path follows the parent links of `visited`.  Each step's edge is
-    the first edge of the parent's successors that yields the child,
-    which is the edge that inserted the child.  The moves are simulated
+    The path follows the parent links of `visited` between packed
+    classes, which are unpacked.  Each step's edge is the first edge of
+    the parent's successors that yields the child, which is the edge that
+    inserted the child.  The moves are simulated
     by atomic_move on the relator letter tuples: bookkeeping
     moves bring each presentation on the path to its canonical
     representative, from which the next class edge is realized.
@@ -215,7 +228,7 @@ def _expand_certificate(start, visited, goal, max_len, regime):
     path = [goal]
     while visited[path[-1]] is not None:
         path.append(visited[path[-1]])
-    path.reverse()
+    path = [_kernel.unpack_state(state) for state in reversed(path)]
     moves = []
     rels = tuple(r.letters for r in start.relators)
 
@@ -285,6 +298,14 @@ def _validate_config(start, cfg):
         raise ValueError(
             "max_total_length %d is below the start presentation's total length %d"
             % (cfg.max_total_length, start.total_length()))
+    # moves preserve the group, so a reachable class has at most
+    # max_total_length nonempty relators and at most b1 <= rank empty
+    # ones: its generators stay within rank + max_total_length
+    if start.rank + cfg.max_total_length > _kernel.MAX_PACKED_GENERATOR:
+        raise ValueError(
+            "the start rank %d plus max_total_length %d exceeds %d, the most"
+            " generators a packed class holds"
+            % (start.rank, cfg.max_total_length, _kernel.MAX_PACKED_GENERATOR))
 
 
 def search(start, cfg, progress=None):
@@ -316,11 +337,16 @@ def search(start, cfg, progress=None):
     """
     _validate_config(start, cfg)
     L, D = cfg.max_total_length, cfg.max_depth
-    start_state = canonical_form(start)
-    visited = {start_state: None}    # class -> parent class
+    pack_state, unpack_state = _kernel.pack_state, _kernel.unpack_state
+    expand_class = _kernel.expand_class
+    extended = cfg.move_regime == "extended"
+    start_state = pack_state(canonical_form(start))
+    visited = {start_state: None}    # packed class -> packed parent class
+    generators = [(k,) for k in range(1, start.rank + L + 1)]
+    trivial = {pack_state(generators[:rank]) for rank in range(1, len(generators) + 1)}
     stats = SearchStats(visited=1, frontier_peak=1,
                         max_total_length=L, max_depth=D, depth_reached=0)
-    if _is_trivial_state(start_state):
+    if start_state in trivial:
         return SearchOutcome("found", MoveCertificate(start, ()), stats)
 
     frontier = [start_state]
@@ -331,7 +357,11 @@ def search(start, cfg, progress=None):
         full = False
         new_states = []
         for parent in frontier:
-            for _, child in _successors(parent, L, cfg.move_regime):
+            children = expand_class(parent, L)
+            if extended:
+                children += [pack_state(child) for _, child
+                             in _basis_change_edges(unpack_state(parent), L)]
+            for child in children:
                 if child in visited:
                     continue
                 if len(visited) >= cfg.dedup_capacity:
@@ -339,7 +369,7 @@ def search(start, cfg, progress=None):
                     break
                 visited[child] = parent
                 new_states.append(child)
-                if found is None and _is_trivial_state(child):
+                if found is None and child in trivial:
                     found = child
             if full:
                 break

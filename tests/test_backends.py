@@ -62,6 +62,24 @@ def canonical_words(max_size=10):
         lambda ls: pk.canonical_relator(tuple(ls)))
 
 
+def packable_classes(max_generator=130, max_size=8):
+    """Classes of 0-4 canonical relators in canonical order; above 127
+    a generator does not pack."""
+    small = st.builds(lambda s, g: s * g, st.sampled_from((1, -1)), st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=max_generator)))
+    words = st.lists(small, max_size=max_size).map(lambda ls: pk.canonical_relator(tuple(ls)))
+    return st.lists(words, max_size=4).map(pk.sort_relators)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
 # 0-4 relators drawn from a pool of raw words, so duplicates are common;
 # each is a fresh tuple, so a stable sort is told apart by identity
 relator_lists = st.lists(raw_words, min_size=1, max_size=4).flatmap(
@@ -168,7 +186,8 @@ class TestSelection:
         crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
         (tmp_path / "ackirby" / "_kernel_c.py").write_text(
             "from ackirby._kernel_py import (\n"
-            "    canonical_relator, expand_multiply, invert_word, reduce_word, sort_relators)\n"
+            "    MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,\n"
+            "    invert_word, pack_state, reduce_word, sort_relators, unpack_state)\n"
             "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
         out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
         assert out.strip() == backend
@@ -225,6 +244,23 @@ class TestFunctionParity:
         want, got = pk.expand_multiply(ci, cj, b), ck.expand_multiply(ci, cj, b)
         assert list(want.items()) == list(got.items())
 
+    @settings(max_examples=300, deadline=None)
+    @given(packable_classes())
+    def test_pack_state(self, ck, rels):
+        assert outcome(pk.pack_state, rels) == outcome(ck.pack_state, rels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=16), st.binary(max_size=16).map(lambda b: b + b"\0")))
+    def test_unpack_state(self, ck, state):
+        assert outcome(pk.unpack_state, state) == outcome(ck.unpack_state, state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(packable_classes(max_generator=127, max_size=7),
+           st.integers(min_value=-2, max_value=24))
+    def test_expand_class(self, ck, rels, max_len):
+        state = pk.pack_state(rels)
+        assert pk.expand_class(state, max_len) == ck.expand_class(state, max_len)
+
 
 @needs_compiler
 def test_compiled_kernel_rejects_out_of_range_letters(ck):
@@ -233,7 +269,8 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
     calls = (lambda v: ck.canonical_relator((v, 1)),
              lambda v: ck.expand_multiply((v,), (1,)),
              lambda v: ck.expand_multiply((1,), (1, v)),
-             lambda v: ck.sort_relators([(1,), (1, v)]))
+             lambda v: ck.sort_relators([(1,), (1, v)]),
+             lambda v: ck.pack_state([(1,), (1, v)]))
     for call in calls:
         for v in (MAX_GENERATOR + 1, -MAX_GENERATOR - 1, 2**70):
             with pytest.raises(OverflowError):
@@ -263,6 +300,10 @@ def test_compiled_kernel_does_not_leak(ck):
         (ck.canonical_relator, ((b, a, -b, a, a),)),
         (ck.sort_relators, (rels,)),
         (ck.expand_multiply, (pk.canonical_relator((a, b)), (b,), 6)),
+        (ck.pack_state, ([(1, 2, -1), (3,), (1, 1, -2)],)),
+        (ck.unpack_state, (pk.pack_state([(1, 2, -1), (3,), (1, 1, -2)]),)),
+        # a multiplication, the stabilization and a destabilization
+        (ck.expand_class, (pk.pack_state([(1,), (2, 2)]), 4)),
     )
     for fn, args in calls:
         watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
@@ -312,8 +353,8 @@ ck = load("ackirby._kernel_c", sys.argv[2])
 rng = random.Random(int(sys.argv[3]))
 
 
-def word(size):
-    return tuple(rng.choice((1, -1)) * rng.choice((1, 2, 3, 300, %d))
+def word(size, generators=(1, 2, 3, 300, %d)):
+    return tuple(rng.choice((1, -1)) * rng.choice(generators)
                  for _ in range(rng.randrange(size)))
 
 
@@ -329,6 +370,14 @@ for _ in range(int(sys.argv[4])):
     b = rng.choice((None, rng.randrange(21)))
     assert list(ck.expand_multiply(ci, cj, b).items()) == \
         list(pk.expand_multiply(ci, cj, b).items()), (ci, cj, b)
+    rels = pk.sort_relators([pk.canonical_relator(word(8, (1, 2, 3, 127)))
+                             for _ in range(rng.randrange(5))])
+    state = pk.pack_state(rels)
+    assert ck.pack_state(rels) == state and ck.unpack_state(state) == rels, rels
+    b = rng.randrange(-2, 25)
+    assert ck.expand_class(state, b) == pk.expand_class(state, b), (rels, b)
+    raw = bytes(rng.randrange(256) for _ in range(rng.randrange(12))) + b"\\0"
+    assert ck.unpack_state(raw) == pk.unpack_state(raw), raw
 print("ok")
 """ % MAX_GENERATOR
 
@@ -338,7 +387,7 @@ print("ok")
 def test_compiled_kernel_under_sanitizers(tmp_path):
     """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
     and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
-    random calls of the five functions without a sanitizer report.
+    random calls of the eight functions without a sanitizer report.
     Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
     kernel's buffers are checked byte for byte; any report aborts the
     run."""
@@ -373,9 +422,11 @@ def _public_functions(module):
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
     re-exported by the selecting module, fails here; so does any function
-    beyond the five hot-path ones."""
+    beyond the eight hot-path ones."""
     assert _public_functions(ck) == _public_functions(pk) == _public_functions(_kernel) == [
-        "canonical_relator", "expand_multiply", "invert_word", "reduce_word", "sort_relators"]
+        "canonical_relator", "expand_class", "expand_multiply", "invert_word",
+        "pack_state", "reduce_word", "sort_relators", "unpack_state"]
+    assert ck.MAX_PACKED_GENERATOR == pk.MAX_PACKED_GENERATOR == 127
 
 
 SEARCH_SNIPPET = """
@@ -425,3 +476,28 @@ def test_sort_relators_matches_reference(rels):
 def test_budget_zero_keeps_empty_child():
     assert list(_kernel.expand_multiply((1,), (1,), 0).items()) == [((), (0, -1, 0))]
     assert _kernel.expand_multiply((1, 2), (1,), 0) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(packable_classes(max_generator=127))
+def test_packed_state_round_trip(rels):
+    state = _kernel.pack_state(rels)
+    assert type(state) is bytes
+    assert len(state) == sum(map(len, rels)) + len(rels)
+    assert _kernel.unpack_state(state) == rels
+
+
+def test_packed_state_format():
+    """One byte per letter, its key plus one, then a 0 byte per relator."""
+    assert _kernel.pack_state([(), (1, -1, 2), (127, -127)]) == \
+        bytes([0, 1, 2, 3, 0, 253, 254, 0])
+    assert _kernel.unpack_state(b"") == ()
+
+
+@pytest.mark.parametrize("letter", (128, -128))
+def test_generator_128_does_not_pack(letter):
+    with pytest.raises(OverflowError, match="exceeds 127"):
+        _kernel.pack_state([(1,), (1, letter)])
+    # a stabilization of a rank-127 class would add generator 128
+    with pytest.raises(OverflowError, match="above 127"):
+        _kernel.expand_class(_kernel.pack_state([()] * 127), 1)

@@ -188,6 +188,15 @@ class TestSearchCommand:
         assert r.stdout == ""
         assert message in r.stderr
 
+    def test_rank_plus_length_over_127_is_an_error(self):
+        """A packed class holds generators up to 127, so a search whose
+        start rank plus length bound exceeds 127 is refused before it
+        starts, like a bound below the start length."""
+        r = run("search", "--pres", "3; x; y; z", "--max-len", "125", "--max-depth", "1")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and "127" in r.stderr
+
     def test_workers_are_recorded_but_inert(self):
         """The search runs in one process; --workers only shows up as
         the value recorded in the output."""

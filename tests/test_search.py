@@ -172,6 +172,15 @@ class TestSearchOutcomes:
         with pytest.raises(ValueError):
             search(presentation_Ln1(1), cfg(5, 4))
 
+    def test_rank_plus_bound_over_127_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 127"):
+            search(P("3; x; y; z"), cfg(125, 1))
+
+    def test_rank_plus_bound_of_127_runs(self):
+        out = search(P("3; xx; y; z"), cfg(124, 2))
+        assert (out.status, out.stats.visited) == ("exhausted", 219)
+        assert naive_search(3, [(1, 1), (2,), (3,)], 124, 2) == ("exhausted", 219)
+
     def test_extended_regime_n2_found(self):
         out = search(presentation_Ln1(2), cfg(12, 6, move_regime="extended"))
         assert (out.status, out.stats.visited) == ("found", 2676)
@@ -208,8 +217,8 @@ class TestDeterminism:
         assert seq.stats.visited == par["outcome"]["stats"]["visited"]
 
     def test_expansion_is_streamed(self, monkeypatch):
-        """In-process, each state's successors are deduplicated before
-        the next state is expanded."""
+        """In-process, each state's children, from one kernel call per
+        state, are deduplicated before the next state is expanded."""
         lists, early = [], []
 
         class Recorded(list):
@@ -219,18 +228,52 @@ class TestDeterminism:
                 yield from list.__iter__(self)
                 self.consumed = True
 
-        successors = search_module._successors
+        expand_class = search_module._kernel.expand_class
 
         def recording(*args):
             early.extend(k for k, seen in enumerate(lists) if not seen.consumed)
-            lists.append(Recorded(successors(*args)))
+            lists.append(Recorded(expand_class(*args)))
             return lists[-1]
 
-        monkeypatch.setattr(search_module, "_successors", recording)
+        monkeypatch.setattr(search_module._kernel, "expand_class", recording)
         out = search(presentation_Ln1(3), cfg(15, 8))
         assert (out.status, out.stats.visited) == ("exhausted", 55)
         assert len(lists) > 1
         assert early == []
+
+    def test_complete_n3_graph_at_15(self):
+        """With no effective depth cap the n=3 class graph within length
+        15 runs out: 82 classes, as the naive oracle counts."""
+        start = presentation_Ln1(3)
+        out = search(start, cfg(15, 40))
+        assert (out.status, out.stats.visited) == ("exhausted", 82)
+        assert out.stats.depth_reached < 40
+        assert naive_search(2, [r.letters for r in start.relators], 15, 40) == ("exhausted", 82)
+
+    def test_complete_n3_graph_at_16(self):
+        """The whole n=3 class graph within length 16 has 914 classes and
+        runs out at depth 11; the naive oracle counts the same 914 (it
+        takes about 18 s, so the count is pinned here instead)."""
+        out = search(presentation_Ln1(3), cfg(16, 40))
+        assert (out.status, out.stats.visited, out.stats.depth_reached) == ("exhausted", 914, 11)
+
+    def test_expand_class_matches_successors(self):
+        """On every class of the complete n=3 graph within length 16, the
+        kernel's packed children are the children of `_successors`,
+        packed, each at its first occurrence."""
+        pack = search_module._kernel.pack_state
+        start = search_module.canonical_form(presentation_Ln1(3))
+        seen, frontier = {start}, [start]
+        while frontier:
+            level = []
+            for rels in frontier:
+                children = [child for _, child in search_module._successors(rels, 16, "strict")]
+                want = list(dict.fromkeys(map(pack, children)))
+                assert search_module._kernel.expand_class(pack(rels), 16) == want, rels
+                level += [child for child in dict.fromkeys(children) if child not in seen]
+                seen.update(level)
+            frontier = level
+        assert len(seen) == 914
 
     def test_monotone_in_bounds(self):
         start = presentation_Ln1(0)

@@ -23,9 +23,10 @@ by length, then letter by letter in key order (x < X < y < Y < ...).
 A search class is keyed by its packed state, an immutable `bytes`
 string whose format `pack_state` and `unpack_state` alone define: for
 each relator in canonical order, one byte per letter equal to its key
-plus one (g_k -> 2k - 1, g_k^-1 -> 2k), then a 0 byte.  So generators
-above MAX_PACKED_GENERATOR do not fit.  Byte order is key order, so
-comparing two relators' bytes compares their keys.  `expand_class`
+plus one (g_k -> 2k - 1, g_k^-1 -> 2k), then a 0 byte.  So a byte holds
+the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
+Byte order is key order, so comparing two relators' bytes compares
+their keys.  `expand_class`
 takes a packed class to its packed strict-move children.
 """
 

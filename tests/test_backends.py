@@ -8,8 +8,9 @@ function tests load that `_kernel_c` without registering it in
 `sys.modules`, so the rest of the suite keeps the kernel it selected;
 the selection and whole-search tests run fresh interpreters on the
 built package.  The fallback from an incomplete or stale compiled
-kernel, and the budget and relator-order tests at the end, need no
-compiler: the latter run on whichever kernel `ackirby._kernel` selected.
+kernel, and the budget, relator-order and packed-state tests at the
+end, need no compiler: the latter run on whichever kernel
+`ackirby._kernel` selected.
 """
 
 import gc
@@ -65,10 +66,10 @@ def canonical_words(max_size=10):
 def packable_classes(max_generator=130, max_size=8):
     """Classes of 0-4 canonical relators in canonical order; above 127
     a generator does not pack."""
-    small = st.builds(lambda s, g: s * g, st.sampled_from((1, -1)), st.one_of(
+    letter = st.builds(lambda s, g: s * g, st.sampled_from((1, -1)), st.one_of(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=max_generator)))
-    words = st.lists(small, max_size=max_size).map(lambda ls: pk.canonical_relator(tuple(ls)))
+    words = st.lists(letter, max_size=max_size).map(lambda ls: pk.canonical_relator(tuple(ls)))
     return st.lists(words, max_size=4).map(pk.sort_relators)
 
 

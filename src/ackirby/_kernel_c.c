@@ -27,7 +27,9 @@
  * order, its keys plus one as bytes, then a 0 byte; generators above
  * MAX_PACKED_GENERATOR do not fit.  expand_class reads a packed class and
  * writes its children packed, through the product loop that
- * expand_multiply uses.
+ * expand_multiply uses.  Like its twin, it collects the children in one
+ * dict, setting each child only at its first occurrence, and returns the
+ * dict's keys, which keep that order.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -355,16 +357,11 @@ static int
 witness_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssize_t q)
 {
     PyObject *child = box_word(c, n, 1);
-    if (child == NULL)
-        return -1;
-    int seen = PyDict_Contains(ctx, child);
-    if (seen == 0) {
-        PyObject *witness = Py_BuildValue("(nin)", p, eps, q);
-        seen = witness ? PyDict_SetItem(ctx, child, witness) : -1;
-        Py_XDECREF(witness);
-    }
-    Py_DECREF(child);
-    return seen < 0 ? -1 : 0;
+    PyObject *witness = child ? Py_BuildValue("(nin)", p, eps, q) : NULL;
+    int ok = witness != NULL && PyDict_SetDefault(ctx, child, witness) != NULL;
+    Py_XDECREF(child);
+    Py_XDECREF(witness);
+    return ok ? 0 : -1;
 }
 
 PyDoc_STRVAR(expand_multiply_doc,
@@ -503,29 +500,23 @@ unpack_state(PyObject *self, PyObject *state)
 
 /* A packed class being expanded: its bytes, the start and length of each
  * relator there, the relator a product replaces (-1: none), the buffer a
- * child is packed into, and the children so far, in order and as a set. */
+ * child is packed into, and the children so far, as the keys of a dict in
+ * first-occurrence order. */
 typedef struct {
     const unsigned char *s;
     Py_ssize_t rank, *start, *len, skip;
     unsigned char *out;
-    PyObject *children, *seen;
+    PyObject *children;
 } class_ctx;
 
-/* Appends the packed child in x->out[0..size) unless it is already there. */
+/* Adds the packed child in x->out[0..size) unless it is already there. */
 static int
 add_child(class_ctx *x, Py_ssize_t size)
 {
     PyObject *child = PyBytes_FromStringAndSize((const char *)x->out, size);
-    if (child == NULL)
-        return -1;
-    int seen = PySet_Contains(x->seen, child);
-    if (seen == 0) {
-        seen = PySet_Add(x->seen, child);
-        if (seen == 0)
-            seen = PyList_Append(x->children, child);
-    }
-    Py_DECREF(child);
-    return seen < 0 ? -1 : 0;
+    int ok = child != NULL && PyDict_SetDefault(x->children, child, Py_None) != NULL;
+    Py_XDECREF(child);
+    return ok ? 0 : -1;
 }
 
 /* Whether relator r of the class sorts after the n keys at c. */
@@ -604,17 +595,17 @@ expand_class(PyObject *self, PyObject *args)
         rank += x.s[t] == 0;
     x.rank = rank;
     Py_ssize_t total = size - rank;
+    PyObject *out = NULL;
     x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
     long *keys = PyMem_New(long, size + 1);
     x.out = PyMem_Malloc(2 * size + 3);
-    x.children = PyList_New(0);
-    x.seen = PySet_New(NULL);
+    x.children = PyDict_New();
+    if (x.children == NULL)
+        goto done;
     if (x.start == NULL || keys == NULL || x.out == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        goto done;
     }
-    if (x.children == NULL || x.seen == NULL)
-        goto fail;
     x.len = x.start + rank;
     for (Py_ssize_t r = 0, t = 0; r < rank; r++) {
         x.start[r] = t;
@@ -631,34 +622,29 @@ expand_class(PyObject *self, PyObject *args)
             if (j != x.skip && x.len[j] > 0 &&
                 for_each_product(keys + x.start[x.skip], ni, keys + x.start[j], x.len[j],
                                  budget, class_sink, &x) < 0)
-                goto fail;
+                goto done;
     }
     if (total + 1 <= max_len) {
         if (rank >= MAX_PACKED_GENERATOR) {
             PyErr_Format(PyExc_OverflowError, "stabilizing adds generator %zd, above %d",
                          rank + 1, MAX_PACKED_GENERATOR);
-            goto fail;
+            goto done;
         }
         long key = 2 * (long)rank;
         x.skip = -1;
         if (class_sink(&x, &key, 1, 0, 0, 0) < 0)
-            goto fail;
+            goto done;
     }
     for (Py_ssize_t r = 0; rank > 1 && r < rank; r++)
         if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
-            goto fail;
-    Py_DECREF(x.seen);
-    PyMem_Free(x.start);
-    PyMem_Free(keys);
-    PyMem_Free(x.out);
-    return x.children;
-fail:
+            goto done;
+    out = PyDict_Keys(x.children);
+done:
     Py_XDECREF(x.children);
-    Py_XDECREF(x.seen);
     PyMem_Free(x.start);
     PyMem_Free(keys);
     PyMem_Free(x.out);
-    return NULL;
+    return out;
 }
 
 static PyMethodDef kernel_methods[] = {

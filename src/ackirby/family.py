@@ -4,9 +4,12 @@ trivialization certificate for n = 2.
 P_{n,1} = <x, y | y^-1 w^-1 x w, x^(n+1) y^-n> with w = yx.  Every member
 abelianizes to determinant 1.  Under the default report budget (strict
 regime, total length start + 2, depth 8) n = 0, 1 and 2 trivialize, n = 2
-after 1255 states, and n = 3 is exhausted.  The built-in n = 2
-certificate is a second, hand-built route: its prefix changes the
-generator basis midway.
+after 1255 states.  For n = 3 (L = 15, D = 8) the search reports
+"exhausted" when it stops at the depth cap, after 55 of the 82 classes
+of the length-15 class graph, without a trivialization; with no depth
+cap that graph runs out at 82 classes (see test_complete_n3_graph_at_15).
+The built-in n = 2 certificate is a second, hand-built route: its prefix
+changes the generator basis midway.
 """
 
 from dataclasses import replace

@@ -147,12 +147,6 @@ class Composite:
     moves: tuple
 
 
-STRICT_MOVE_TYPES = (InvertRelator, MultiplyRelator, ConjugateRelator,
-                     SwapRelators, Stabilize, Destabilize)
-EXTENDED_MOVE_TYPES = STRICT_MOVE_TYPES + (NielsenGenerator, InvertGenerator,
-                                           SwapGenerators)
-
-
 def _check_index(rank, idx, name="relator index"):
     # bool is an int subclass: `type` keeps True from acting as index 1
     if type(idx) is not int or not 1 <= idx <= rank:

@@ -17,22 +17,26 @@ A class is keyed by its packed state: the `bytes` string that
 (presentations.canonical_form).  The visited table maps each key to its
 parent's key, and the search expands a class by one kernel call,
 `_kernel.expand_class`, which returns its strict-move children packed.
-The extended regime adds the basis-change children of the unpacked
-class.  A start of rank r searched within total length L reaches no
-generator above r + L, so `_validate_config` requires r + L <= 127,
-the most a packed key holds.
+The extended regime adds the basis-change children, which `_move_edges`
+makes from the unpacked class.  A start of rank r searched within total
+length L reaches no generator above r + L, so `_validate_config`
+requires r + L <= 127, the most a packed key holds.
 
 Only the path to a trivial class needs its edges.  Certificate
 expansion unpacks the classes on that path and re-derives each edge from
 the parent's successors (`_successors`).  The multiplication edges are
 built there (the products by `_kernel.expand_multiply`, which also drops
 every product longer than the relator's share of max_total_length
-before it canonicalizes it).  Every other edge is ("move", m) for the
-atomic move m that presentations.atomic_move applies, the one definition
-of each atomic move that apply_move replays, so a class edge and its
-atomic moves cannot drift apart.  `expand_class` yields the children of
-`_successors` in the same order, each once; a test checks the two
-against each other.
+before it canonicalizes it).  Every other edge is ("move", m), made by
+one rule, `_move_edges`: for each given atomic move m it applies
+presentations.atomic_move, the one definition of each atomic move that
+apply_move replays, skips m where atomic_move rejects it, and keeps the
+canonical child if it fits max_len.  `_successors` gives it the
+stabilization and the destabilization of each single-letter relator
+(plus the basis changes in the extended regime), so a class edge and
+its atomic moves cannot drift apart.  `expand_class` yields the strict
+children of `_successors` in the same order, each once; tests check the
+two against each other and against the naive oracle.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
@@ -142,9 +146,6 @@ def verify(cert, trace=False):
 # ---------------------------------------------------------------------------
 # Class states
 
-_STABILIZE = Stabilize()
-
-
 @functools.lru_cache(maxsize=None)
 def _basis_changes(rank):
     """The extended regime's generator basis changes at a rank, in
@@ -156,11 +157,15 @@ def _basis_changes(rank):
     return tuple(moves)
 
 
-def _basis_change_edges(rels, max_len):
-    """The extended regime's (move, child class) pairs within max_len."""
-    for move in _basis_changes(len(rels)):
-        child = _kernel.sort_relators(map(_kernel.canonical_relator, atomic_move(rels, move)))
-        # only a Nielsen move can lengthen the presentation
+def _move_edges(rels, max_len, moves):
+    """The (move, child class) pairs of the atomic moves, in the given
+    order, that apply to the class `rels` and keep it within max_len."""
+    for move in moves:
+        try:
+            child = atomic_move(rels, move)
+        except MoveError:
+            continue
+        child = _kernel.sort_relators(map(_kernel.canonical_relator, child))
         if sum(map(len, child)) <= max_len:
             yield move, child
 
@@ -188,25 +193,12 @@ def _successors(rels, max_len, regime):
                 out.append((("mul", i, j, p, eps, q),
                             sort_relators(head + (child_rel,) + tail)))
 
-    # stabilize
-    if total + 1 <= max_len:
-        out.append((("move", _STABILIZE), sort_relators(atomic_move(rels, _STABILIZE))))
-
-    # destabilize relator i when it is a single letter; atomic_move
-    # rejects the move when that generator occurs in another relator.
-    # Renumbering keeps canonical relators canonical and sorted.
-    for i in range(1, rank + 1):
-        if len(rels[i - 1]) == 1:
-            move = Destabilize(i)
-            try:
-                child = atomic_move(rels, move)
-            except MoveError:
-                continue
-            out.append((("move", move), child))
-
+    # stabilize, then destabilize each single-letter relator whose
+    # generator occurs in no other relator (atomic_move rejects the rest)
+    moves = [Stabilize()] + [Destabilize(i) for i in range(1, rank + 1) if len(rels[i - 1]) == 1]
     if regime == "extended":
-        out += [(("move", move), child) for move, child in _basis_change_edges(rels, max_len)]
-
+        moves += _basis_changes(rank)
+    out += [(("move", move), child) for move, child in _move_edges(rels, max_len, moves)]
     return out
 
 
@@ -359,8 +351,9 @@ def search(start, cfg, progress=None):
         for parent in frontier:
             children = expand_class(parent, L)
             if extended:
+                rels = unpack_state(parent)
                 children += [pack_state(child) for _, child
-                             in _basis_change_edges(unpack_state(parent), L)]
+                             in _move_edges(rels, L, _basis_changes(len(rels)))]
             for child in children:
                 if child in visited:
                     continue

@@ -189,6 +189,8 @@ def exponent_sums(w, rank):
     """
     if type(rank) is not int:
         raise WordError("rank must be an int, got %r" % (rank,))
+    if rank < 0:
+        raise WordError("rank must be >= 0, got %d" % rank)
     w = Word(w)
     if w.max_generator() > rank:
         raise WordError(

@@ -42,6 +42,11 @@ class TestWordCommands:
         r = run("word", "sums", "--rank", "2", "xxxYY")
         assert r.stdout == "rank: 2\nsums: 3 -2\n"
 
+    def test_negative_rank_is_input_error(self):
+        r = run("word", "sums", "xX", "--rank", "-1")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ") and "rank must be >= 0, got -1" in r.stderr
+
     def test_invalid_word_is_input_error(self):
         r = run("word", "canon", "x1y")
         assert r.returncode == 1

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_bfs import naive_search
+from naive_bfs import naive_search, naive_successors
 from ackirby.presentations import (
     ConjugateRelator,
     InvertRelator,
@@ -257,23 +257,32 @@ class TestDeterminism:
         out = search(presentation_Ln1(3), cfg(16, 40))
         assert (out.status, out.stats.visited, out.stats.depth_reached) == ("exhausted", 914, 11)
 
-    def test_expand_class_matches_successors(self):
-        """On every class of the complete n=3 graph within length 16, the
-        kernel's packed children are the children of `_successors`,
-        packed, each at its first occurrence."""
+    @pytest.mark.parametrize("reference, max_len, classes", [
+        ("successors", 16, 914), ("naive", 15, 82)], ids=("successors", "naive"))
+    def test_expand_class_matches_successors(self, reference, max_len, classes):
+        """On every class of the complete n=3 graph within the length
+        bound, the kernel's packed children are the reference's children,
+        packed, each at its first occurrence.  The references are
+        `_successors`, whose products come from the same product loop as
+        `expand_class`, and the naive oracle, which shares no code."""
+        def reference_children(rels):
+            if reference == "naive":
+                return [child for _, child in naive_successors((len(rels), rels), max_len)]
+            return [child for _, child in search_module._successors(rels, max_len, "strict")]
+
         pack = search_module._kernel.pack_state
         start = search_module.canonical_form(presentation_Ln1(3))
         seen, frontier = {start}, [start]
         while frontier:
             level = []
             for rels in frontier:
-                children = [child for _, child in search_module._successors(rels, 16, "strict")]
+                children = reference_children(rels)
                 want = list(dict.fromkeys(map(pack, children)))
-                assert search_module._kernel.expand_class(pack(rels), 16) == want, rels
+                assert search_module._kernel.expand_class(pack(rels), max_len) == want, rels
                 level += [child for child in dict.fromkeys(children) if child not in seen]
                 seen.update(level)
             frontier = level
-        assert len(seen) == 914
+        assert len(seen) == classes
 
     def test_monotone_in_bounds(self):
         start = presentation_Ln1(0)

@@ -194,6 +194,10 @@ class TestExponentSums:
         with pytest.raises(WordError):
             exponent_sums(parse_word("z"), 2)
 
+    def test_negative_rank_rejected(self):
+        with pytest.raises(WordError, match="rank must be >= 0, got -2"):
+            exponent_sums(Word(()), -2)
+
     @given(raw_words, letters)
     @settings(max_examples=300, deadline=None)
     def test_conjugation_invariant(self, raw, g):

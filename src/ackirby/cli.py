@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 from ackirby import _kernel
@@ -74,9 +73,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-ENV_MAX_LEN = "ACKIRBY_MAX_LEN"
-ENV_MAX_DEPTH = "ACKIRBY_MAX_DEPTH"
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +266,10 @@ def _emit_outcome(args, start, cfg, outcome):
 
 def _cmd_search(args):
     start = _load_presentation(args)
-    # main has already read the budget defaults from the environment
     cfg = SearchConfig(
         max_total_length=args.max_len if args.max_len is not None
         else total_length(start) + 6,
-        max_depth=args.max_depth if args.max_depth is not None else 24,
+        max_depth=args.max_depth,
         move_regime=args.regime,
         dedup_capacity=args.capacity,
     )
@@ -402,16 +397,15 @@ def _add_format(p, default="text"):
                    help="output format (default %(default)s)")
 
 
-def _add_budget_flags(p, len_default, depth_default):
-    """--max-len, --max-depth and --regime; main reads the first two from
-    the environment when they are not given."""
+def _add_budget_flags(p, len_help, depth_default, depth_help="%(default)s"):
+    """--max-len, --max-depth and --regime.  --max-len defaults to None,
+    which the caller fills from the start presentation as `len_help` says."""
     p.add_argument("--max-len", type=int, default=None,
-                   help="total-length ceiling (default $%s, else %s)"
-                   % (ENV_MAX_LEN, len_default))
-    p.add_argument("--max-depth", type=int, default=None,
-                   help="move-depth ceiling (default $%s, else %s)"
-                   % (ENV_MAX_DEPTH, depth_default))
-    p.add_argument("--regime", choices=("strict", "extended"), default="strict")
+                   help="total-length ceiling (default %s)" % len_help)
+    p.add_argument("--max-depth", type=int, default=depth_default,
+                   help="move-depth ceiling (default %s)" % depth_help)
+    p.add_argument("--regime", choices=("strict", "extended"),
+                   default=SearchConfig.move_regime)
 
 
 def _add_presentation_inputs(p):
@@ -449,12 +443,13 @@ def build_parser():
         "--family", help="family member spec, e.g. n=2")
     p.add_argument("--family-w", default="yx",
                    help="conjugating word for --family (default %(default)s)")
-    _add_budget_flags(p, "start+6", "24")
+    _add_budget_flags(p, "start+6", 24)
     p.add_argument("--workers", type=int, default=1,
                    help="recorded in the output; the search runs in one process, "
                         "so the value changes nothing")
-    p.add_argument("--capacity", type=int, default=1_000_000,
-                   help="hard limit on the classes the deduplication table holds")
+    p.add_argument("--capacity", type=int, default=SearchConfig.dedup_capacity,
+                   help="hard limit on the classes the deduplication table holds "
+                        "(default %(default)s)")
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the output; the search is deterministic")
     p.add_argument("--progress", action="store_true",
@@ -478,7 +473,7 @@ def build_parser():
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("report", help="survey rows for n = 0..n_max")
     q.add_argument("--n-max", type=int, required=True)
-    _add_budget_flags(q, "each member's start+2", "8")
+    _add_budget_flags(q, "each member's start+2", None, "each member's 8")
     _add_format(q)
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("gersten", help="emit the built-in n=2 certificate")
@@ -527,21 +522,11 @@ def main(argv=None):
     for flag in _REQUIRED_FLAGS.get((args.subcommand, op), ()):
         if getattr(args, flag) is None:
             parser.error("%s %s needs --%s" % (args.subcommand, op, flag))
-    if hasattr(args, "max_len"):   # the budget flags: search, family report
-        source = {}   # budget flag -> where its value came from
-        for flag, env in (("max_len", ENV_MAX_LEN), ("max_depth", ENV_MAX_DEPTH)):
-            text = os.environ.get(env)
-            if getattr(args, flag) is None and text:
-                source[flag] = "$" + env
-                try:
-                    setattr(args, flag, int(text))
-                except ValueError:
-                    parser.error("$%s must be an integer, got %r" % (env, text))
-        for flag, least in (("workers", 1), ("max_depth", 0), ("capacity", 1)):
-            value = getattr(args, flag, None)
-            if value is not None and value < least:
-                parser.error("%s must be >= %d, got %d"
-                             % (source.get(flag, "--" + flag.replace("_", "-")), least, value))
+    for flag, least in (("workers", 1), ("max_depth", 0), ("capacity", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            parser.error("--%s must be >= %d, got %d"
+                         % (flag.replace("_", "-"), least, value))
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:   # every library error is a ValueError

@@ -243,6 +243,8 @@ def parse_matrix(text):
         m = int(lines[0])
     except ValueError:
         raise KirbyError("first line must be the size, got %r" % (lines[0],))
+    if m < 0:
+        raise KirbyError("matrix size must be >= 0, got %d" % m)
     if m == 0 and len(lines) == 1:
         return FramedLinkMatrix((), ())
     if len(lines) != m + 2:

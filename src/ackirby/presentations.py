@@ -438,6 +438,8 @@ def move_from_dict(doc):
                 fields = {k: v for k, v in doc.items() if k != "type"}
                 # decode the two non-scalar fields; the constructor checks the keys
                 if "moves" in fields:
+                    if not isinstance(fields["moves"], list):
+                        raise TypeError("the moves must be a list of move records")
                     fields["moves"] = tuple(move_from_dict(m) for m in fields["moves"])
                 if "conjugator" in fields:
                     if not isinstance(fields["conjugator"], str):

@@ -109,7 +109,9 @@ class SearchStats:
 
 @dataclass
 class SearchOutcome:
-    status: str                          # "found" | "exhausted" | "inconclusive"
+    # "found" | "exhausted" | "inconclusive"; "exhausted" also at the
+    # depth cap, whose last level was never expanded
+    status: str
     certificate: Optional[MoveCertificate]
     stats: SearchStats
 
@@ -309,12 +311,16 @@ def search(start, cfg, progress=None):
     before the next state is expanded.
 
     Returns a SearchOutcome: "found" with a verified certificate,
-    "exhausted" when every class within the bounds was explored, or
-    "inconclusive" when a new class found the visited table full.  The
-    table holds at most `dedup_capacity` classes; a duplicate needs no
-    room.  A full table stops the level at once, and a trivial class
-    inserted before that still gives "found".  Outcome, visited counts
-    and certificate are deterministic for a fixed config.
+    "exhausted" when the frontier runs out or the search stops at
+    `max_depth`, or "inconclusive" when a new class found the visited
+    table full.  At the depth cap the classes of the last level are
+    never expanded, so "exhausted" does not mean that the
+    length-bounded class graph ran out: at max_total_length 17 the
+    family member n = 3 has 5858 classes within depth 6, and 42450 with
+    no depth cap.  The table holds at most `dedup_capacity` classes; a
+    duplicate needs no room.  A full table stops the level at once, and
+    a trivial class inserted before that still gives "found".  Outcome,
+    visited counts and certificate are deterministic for a fixed config.
 
     `progress`, if given, is called as progress(depth, visited, frontier)
     at each depth boundary; it must not influence the search.

@@ -3,6 +3,8 @@
 Each invocation runs `cli.main` in-process and is pinned by its exit
 code and the SHA-256 of its stdout; the digests are the same on both
 kernels.  A usage error is pinned by its last stderr line as well.
+The pins hold whatever the caller's environment says: a budget flag left
+out takes its parser default.
 `--help` and argparse's usage block are left out: argparse wraps both
 to the terminal width.
 """
@@ -78,6 +80,12 @@ BATTERY = {
     "usage-report-depth": ["family", "report", "--n-max", "0", "--max-depth", "-1"],
 }
 STDIN = "2; xxxYY; YXYxyx\n"
+
+# the entries of the budget commands that leave --max-len or --max-depth out
+DEFAULTED_BUDGETS = sorted(
+    name for name, argv in BATTERY.items()
+    if (argv[:1] == ["search"] or argv[:2] == ["family", "report"])
+    and not {"--max-len", "--max-depth"} <= set(argv))
 
 # name -> (exit code, SHA-256 of stdout, last stderr line of a usage error)
 PINNED = {
@@ -210,6 +218,13 @@ def run_main(argv, files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_invocation_is_pinned(name, files, capsys, monkeypatch):
+    assert run_main(BATTERY[name], files, capsys, monkeypatch) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", DEFAULTED_BUDGETS)
+def test_budget_variables_are_ignored(name, files, capsys, monkeypatch):
+    monkeypatch.setenv("ACKIRBY_MAX_LEN", "9")
+    monkeypatch.setenv("ACKIRBY_MAX_DEPTH", "3")
     assert run_main(BATTERY[name], files, capsys, monkeypatch) == PINNED[name]
 
 

@@ -236,6 +236,9 @@ class TestText:
                     "1\n0\n", "2\n0 1\n2 0\nh h\n"):
             with pytest.raises((KirbyError, ValueError)):
                 parse_matrix(bad)
+        for size in (-1, -2):
+            with pytest.raises(KirbyError, match="matrix size must be >= 0, got %d" % size):
+                parse_matrix("%d\n" % size)
 
 
 def symmetric_matrices(max_size=5, bound=5):

@@ -391,3 +391,8 @@ class TestMoveSerialization:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             move_from_dict({"type": "no_such_move"})
+
+    @pytest.mark.parametrize("moves", ["", {}, "ab"], ids=repr)
+    def test_composite_moves_must_be_a_list(self, moves):
+        with pytest.raises(ValueError, match="malformed composite move record"):
+            move_from_dict({"type": "composite", "moves": moves})

@@ -39,6 +39,9 @@ ROWS = {
     # the whole L=17 graph: D=6 stops at the depth cap, D=40 does not
     "n3-L17-D40": ("--family", "n=3", "--max-len", "17", "--max-depth", "40"),
     "n3-L18-D24": ("--family", "n=3", "--max-len", "18", "--max-depth", "24"),
+    # the extended regime, where generator basis changes add edges
+    "n2-ext-L14-D24": ("--family", "n=2", "--regime", "extended",
+                       "--max-len", "14", "--max-depth", "24"),
 }
 BACKENDS = ("c", "python")
 

@@ -10,14 +10,15 @@ one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 The kernel is the eight functions the library calls on its hot paths:
 `reduce_word`, `invert_word`, `canonical_relator`, `sort_relators`,
 `expand_multiply`, `pack_state`, `unpack_state` and `expand_class`.
-Both kernels apply the search's length budget inside
-`expand_multiply(ci, cj, max_len)`: a product whose cyclically reduced
-core is longer than max_len is dropped before it is canonicalized.
 Both define the canonical relator order in `sort_relators`, and the
 packed class key, a `bytes` string, in `pack_state` and `unpack_state`;
 `MAX_PACKED_GENERATOR` is the largest generator a key holds.
 `expand_class(state, max_len)` takes a packed class to its packed
-strict-move children, one kernel call per search state.
+strict-move children, one kernel call per search state.  Both kernels
+apply the search's length budget in the product loop that
+`expand_multiply(ci, cj, max_len)` and `expand_class` share: a product
+whose cyclically reduced core is longer than its budget is dropped
+before it is canonicalized.
 """
 
 import os

@@ -2,11 +2,11 @@
  *
  * Words are Python sequences of nonzero signed integers: +k is the k-th
  * generator, -k its inverse.  Each function loads its words into C long
- * buffers, runs on those, and boxes only its results into tuples.
- *
- * Loading rejects letters beyond MAX_GENERATOR (2**30, as in ackirby.words)
- * with OverflowError, so every key fits in a C long even where that is 32
- * bits, and nothing wraps.
+ * buffers, runs on those, and boxes only its results into tuples.  One
+ * loader, load_word, reads every letter; it rejects letters beyond
+ * MAX_GENERATOR (2**30, as in ackirby.words) with OverflowError, so every
+ * key fits in a C long even where that is 32 bits, and nothing wraps.
+ * One boxer, box_word, builds every word tuple, decoding keys where asked.
  *
  * The module holds the eight functions the library calls on its hot paths:
  * reduce_word, invert_word, canonical_relator, sort_relators,
@@ -25,11 +25,12 @@
  *
  * A packed state (see _kernel_py) holds, for each relator in canonical
  * order, its keys plus one as bytes, then a 0 byte; generators above
- * MAX_PACKED_GENERATOR do not fit.  expand_class reads a packed class and
- * writes its children packed, through the product loop that
- * expand_multiply uses.  Like its twin, it collects the children in one
- * dict, setting each child only at its first occurrence, and returns the
- * dict's keys, which keep that order.
+ * MAX_PACKED_GENERATOR do not fit.  One reader, state_rank, checks a
+ * packed state and counts its relators for unpack_state and expand_class.
+ * expand_class reads a packed class and writes its children packed, through
+ * the product loop that expand_multiply uses.  Like its twin, it collects
+ * the children in one dict, setting each child only at its first
+ * occurrence, and returns the dict's keys, which keep that order.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -50,25 +51,10 @@ letter_of(long k)
     return (k & 1) ? -(k >> 1) - 1 : (k >> 1) + 1;
 }
 
-/* One letter as a C long; OverflowError beyond MAX_GENERATOR. */
-static int
-load_letter(PyObject *obj, long *out)
-{
-    long v = PyLong_AsLong(obj);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (v > MAX_GENERATOR || v < -MAX_GENERATOR) {
-        PyErr_Format(PyExc_OverflowError,
-                     "generator index of letter %ld exceeds %ld", v, MAX_GENERATOR);
-        return -1;
-    }
-    *out = v;
-    return 0;
-}
-
 /* Letters of a sequence, in a buffer of at least one long; the caller
  * frees it with PyMem_Free.  With `keys` set, the buffer holds letter keys
- * instead.  NULL on error. */
+ * instead.  OverflowError for a letter beyond MAX_GENERATOR; NULL on
+ * error. */
 static long *
 load_word(PyObject *seq, Py_ssize_t *n, int keys)
 {
@@ -79,22 +65,27 @@ load_word(PyObject *seq, Py_ssize_t *n, int keys)
     PyObject **items = PySequence_Fast_ITEMS(fast);
     long *buf = PyMem_New(long, len + 1);
     if (buf == NULL) {
-        Py_DECREF(fast);
         PyErr_NoMemory();
-        return NULL;
+        goto fail;
     }
     for (Py_ssize_t i = 0; i < len; i++) {
-        if (load_letter(items[i], &buf[i]) < 0) {
-            Py_DECREF(fast);
-            PyMem_Free(buf);
-            return NULL;
+        long v = PyLong_AsLong(items[i]);
+        if (v == -1 && PyErr_Occurred())
+            goto fail;
+        if (v > MAX_GENERATOR || v < -MAX_GENERATOR) {
+            PyErr_Format(PyExc_OverflowError,
+                         "generator index of letter %ld exceeds %ld", v, MAX_GENERATOR);
+            goto fail;
         }
-        if (keys)
-            buf[i] = key_of(buf[i]);
+        buf[i] = keys ? key_of(v) : v;
     }
     Py_DECREF(fast);
     *n = len;
     return buf;
+fail:
+    Py_DECREF(fast);
+    PyMem_Free(buf);
+    return NULL;
 }
 
 /* Tuple of n values; `keys` decodes them from keys to letters first. */
@@ -447,20 +438,25 @@ done:
     return out;
 }
 
-/* Whether bytes is a packed state: empty, or ending with a 0 byte. */
-static int
-check_state(PyObject *state)
+/* Rank of a packed state: its number of 0 bytes.  -1 with TypeError
+ * unless it is bytes, or with ValueError unless it is empty or ends with
+ * a 0 byte. */
+static Py_ssize_t
+state_rank(PyObject *state)
 {
     if (!PyBytes_Check(state)) {
         PyErr_Format(PyExc_TypeError, "a packed state must be bytes, got %R", state);
         return -1;
     }
-    Py_ssize_t size = PyBytes_GET_SIZE(state);
-    if (size && PyBytes_AS_STRING(state)[size - 1] != 0) {
+    const char *s = PyBytes_AS_STRING(state);
+    Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
+    if (size && s[size - 1] != 0) {
         PyErr_SetString(PyExc_ValueError, "a packed state must end with a 0 byte");
         return -1;
     }
-    return 0;
+    for (Py_ssize_t t = 0; t < size; t++)
+        rank += s[t] == 0;
+    return rank;
 }
 
 PyDoc_STRVAR(unpack_state_doc,
@@ -470,31 +466,23 @@ PyDoc_STRVAR(unpack_state_doc,
 static PyObject *
 unpack_state(PyObject *self, PyObject *state)
 {
-    if (check_state(state) < 0)
+    Py_ssize_t rank = state_rank(state);
+    if (rank < 0)
         return NULL;
     const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(state);
-    Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
-    for (Py_ssize_t t = 0; t < size; t++)
-        rank += s[t] == 0;
-    PyObject *out = PyTuple_New(rank);
-    for (Py_ssize_t r = 0, t = 0; out != NULL && r < rank; r++) {
-        Py_ssize_t n = 0;
-        while (s[t + n])
-            n++;
-        PyObject *rel = PyTuple_New(n);
-        for (Py_ssize_t k = 0; rel != NULL && k < n; k++) {
-            PyObject *v = PyLong_FromLong(letter_of(s[t + k] - 1));
-            if (v == NULL)
-                Py_CLEAR(rel);
-            else
-                PyTuple_SET_ITEM(rel, k, v);
-        }
+    Py_ssize_t size = PyBytes_GET_SIZE(state);
+    long *keys = PyMem_New(long, size + 1);
+    PyObject *out = keys ? PyTuple_New(rank) : PyErr_NoMemory();
+    for (Py_ssize_t r = 0, t = 0, n; out != NULL && r < rank; r++, t += n + 1) {
+        for (n = 0; s[t + n]; n++)
+            keys[n] = (long)s[t + n] - 1;
+        PyObject *rel = box_word(keys, n, 1);
         if (rel == NULL)
             Py_CLEAR(out);
         else
             PyTuple_SET_ITEM(out, r, rel);
-        t += n + 1;
     }
+    PyMem_Free(keys);
     return out;
 }
 
@@ -583,18 +571,15 @@ static PyObject *
 expand_class(PyObject *self, PyObject *args)
 {
     PyObject *state;
-    Py_ssize_t max_len;
-    if (!PyArg_ParseTuple(args, "On:expand_class", &state, &max_len) || check_state(state) < 0)
+    Py_ssize_t max_len, rank;
+    if (!PyArg_ParseTuple(args, "On:expand_class", &state, &max_len)
+        || (rank = state_rank(state)) < 0)
         return NULL;
     /* any negative bound admits the same children; -1 keeps budgets from wrapping */
     if (max_len < -1)
         max_len = -1;
-    Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
-    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state)};
-    for (Py_ssize_t t = 0; t < size; t++)
-        rank += x.s[t] == 0;
-    x.rank = rank;
-    Py_ssize_t total = size - rank;
+    Py_ssize_t size = PyBytes_GET_SIZE(state), total = size - rank;
+    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank};
     PyObject *out = NULL;
     x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
     long *keys = PyMem_New(long, size + 1);
@@ -608,13 +593,10 @@ expand_class(PyObject *self, PyObject *args)
     }
     x.len = x.start + rank;
     for (Py_ssize_t r = 0, t = 0; r < rank; r++) {
-        x.start[r] = t;
-        while (x.s[t])
-            t++;
+        for (x.start[r] = t; x.s[t]; t++)
+            keys[t] = (long)x.s[t] - 1;
         x.len[r] = t++ - x.start[r];
     }
-    for (Py_ssize_t t = 0; t < size; t++)
-        keys[t] = (long)x.s[t] - 1;
 
     for (x.skip = 0; x.skip < rank; x.skip++) {
         Py_ssize_t ni = x.len[x.skip], budget = max_len - (total - ni);

@@ -11,9 +11,10 @@ the two implementations in lockstep.
 The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical
 letter order is integer order and the inverse of key k is k ^ 1.  A word
-is encoded once into a tuple of keys; seam cancellation, the cyclic split
-and the comparison of rotations then run on key tuples with native tuple
-order, and only the result is decoded back into letters.
+is encoded once into a tuple of keys by `_encode`, the one letter
+loader; seam cancellation, the cyclic split and the comparison of
+rotations then run on key tuples with native tuple order, and only the
+result is decoded back into letters by `_decode`, the one key decoder.
 `expand_multiply` drops a product longer than its `max_len` budget right
 after the cyclic split, before any rotation is built or compared.
 
@@ -26,7 +27,8 @@ each relator in canonical order, one byte per letter equal to its key
 plus one (g_k -> 2k - 1, g_k^-1 -> 2k), then a 0 byte.  So a byte holds
 the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
 Byte order is key order, so comparing two relators' bytes compares
-their keys.  `expand_class`
+their keys.  `_state_parts`, the one state reader, checks a packed state
+and splits it into relators for `unpack_state` and `expand_class`, which
 takes a packed class to its packed strict-move children.
 """
 
@@ -183,6 +185,17 @@ def pack_state(rels):
     return bytes(out)
 
 
+def _state_parts(state):
+    """The packed relators of a packed state, without their 0 bytes.
+    TypeError unless the state is bytes; ValueError unless it is empty or
+    ends with a 0 byte."""
+    if not isinstance(state, bytes):
+        raise TypeError("a packed state must be bytes, got %r" % (state,))
+    if state[-1:] not in (b"", b"\0"):
+        raise ValueError("a packed state must end with a 0 byte")
+    return state.split(b"\0")[:-1]
+
+
 def unpack_state(state):
     """Relators of a packed state, as letter tuples; inverse of pack_state.
     ValueError unless the state is empty or ends with a 0 byte.
@@ -190,12 +203,7 @@ def unpack_state(state):
     >>> unpack_state(b'\\x01\\x00\\x04\\x01\\x00')
     ((1,), (-2, 1))
     """
-    if not isinstance(state, bytes):
-        raise TypeError("a packed state must be bytes, got %r" % (state,))
-    if state[-1:] not in (b"", b"\0"):
-        raise ValueError("a packed state must end with a 0 byte")
-    return tuple([tuple([(b + 1) >> 1 if b & 1 else -(b >> 1) for b in part])
-                  for part in state.split(b"\0")[:-1]])
+    return tuple([_decode([b - 1 for b in part]) for part in _state_parts(state)])
 
 
 def _insert(rest, child):
@@ -224,7 +232,7 @@ def expand_class(state, max_len):
     one index.  Renumbering keeps canonical relators canonical and
     sorted.
     """
-    parts = state.split(b"\0")[:-1]
+    parts = _state_parts(state)
     rank = len(parts)
     total = len(state) - rank
     out = {}

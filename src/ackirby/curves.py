@@ -143,10 +143,14 @@ def z3_class(slope, labeling=None):
 
 
 def is_candidate(slope, labeling=None):
-    """True iff each side of the partition holds exactly one L label
-    (equivalently, one R label)."""
-    side = partition(slope, labeling)[0]
-    return sum(1 for name in side if name in L_LABELS) == 1
+    """True iff the Z3 class is trivial, that is iff each side of the
+    partition holds exactly one L label (equivalently, one R label).
+
+    A side holds two labels, each weighing +1 or -1, so its sum is 2, 0
+    or -2 = 1 (mod 3); the sum is 0 exactly when the side holds one L
+    label and one R label.
+    """
+    return z3_class(slope, labeling) == 0
 
 
 def enumerate_candidates(height, labeling=None):

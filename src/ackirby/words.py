@@ -246,13 +246,17 @@ def format_word(w, alphabet=None):
     With the default alphabet, words over generators 1..3 print as
     x/y/z (uppercase for inverses) and anything beyond prints in the
     escaped g-form.  `alphabet` overrides the generator names: a
-    sequence whose entry k-1 names generator k.
+    sequence whose entry k-1 names generator k; WordError if it names
+    too few.
     """
     w = Word(w)
     if not w.letters:
         return ""
     parts = []
     top = w.max_generator()
+    if alphabet is not None and top > len(alphabet):
+        raise WordError("generator %d has no name in an alphabet of length %d"
+                        % (top, len(alphabet)))
     for v in w:
         k = abs(v)
         if alphabet is not None:

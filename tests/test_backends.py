@@ -10,7 +10,7 @@ the selection and whole-search tests run fresh interpreters on the
 built package.  The fallback from an incomplete or stale compiled
 kernel, and the budget, relator-order and packed-state tests at the
 end, need no compiler: the latter run on whichever kernel
-`ackirby._kernel` selected.
+`ackirby._kernel` selected, and the last one on the pure kernel alone.
 """
 
 import gc
@@ -264,6 +264,21 @@ class TestFunctionParity:
 
 
 @needs_compiler
+@pytest.mark.parametrize(
+    "state", (b"\x01", b"\x01\x00\x03", bytearray(b"\x01\x00"), "x\x00"),
+    ids=("no_final_zero", "letters_after_zero", "bytearray", "str"))
+@pytest.mark.parametrize("call", (lambda k, s: k.unpack_state(s),
+                                  lambda k, s: k.expand_class(s, 5)),
+                         ids=("unpack_state", "expand_class"))
+def test_malformed_state_fails_alike(ck, call, state):
+    """Both kernels reject a packed state that is not bytes, or does not
+    end with a 0 byte, with the same exception type and message."""
+    want = outcome(call, pk, state)
+    assert want[0] in (TypeError, ValueError)
+    assert outcome(call, ck, state) == want
+
+
+@needs_compiler
 def test_compiled_kernel_rejects_out_of_range_letters(ck):
     """The compiled kernel holds letter keys in 32 bits, so a letter
     beyond MAX_GENERATOR raises instead of wrapping."""
@@ -502,3 +517,8 @@ def test_generator_128_does_not_pack(letter):
     # a stabilization of a rank-127 class would add generator 128
     with pytest.raises(OverflowError, match="above 127"):
         _kernel.expand_class(_kernel.pack_state([()] * 127), 1)
+
+
+def test_pure_expand_class_checks_state():
+    with pytest.raises(ValueError, match="must end with a 0 byte"):
+        pk.expand_class(b"\x01", 5)

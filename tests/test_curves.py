@@ -190,12 +190,15 @@ class TestZ3AndCandidates:
         assert not is_candidate(Slope(1, -1))
 
     def test_candidate_iff_z3_zero_for_every_labeling(self):
-        perms = itertools.permutations(POINTS)
-        for points in perms:
+        """Candidacy, the trivial Z3 class and one L label on a side agree
+        for every labeling and slopes of every parity class."""
+        for points in itertools.permutations(POINTS):
             lab = PunctureLabeling(dict(zip(LABELS, points)))
             for d in primitive_directions(3):
                 s = Slope(*d)
-                assert is_candidate(s, lab) == (z3_class(s, lab) == 0)
+                side = oracle_partition(s, lab)[0]
+                one_l = sum(1 for name in side if name in ("L1", "L2")) == 1
+                assert is_candidate(s, lab) == (z3_class(s, lab) == 0) == one_l
 
     def test_candidate_matches_oracle(self):
         for d in primitive_directions(20):

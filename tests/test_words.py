@@ -77,6 +77,10 @@ class TestParseFormat:
     def test_format_alphabet_override(self):
         assert format_word(Word((-1, 2, 2, 2)), alphabet=("x", "z")) == "Xzzz"
 
+    def test_format_alphabet_too_short(self):
+        with pytest.raises(WordError, match="generator 3 has no name in an alphabet of length 2"):
+            format_word(Word((1, -3)), alphabet=("x", "y"))
+
 
 class TestReduce:
     def test_single_cancellation(self):

@@ -13,12 +13,18 @@ The kernel is the eight functions the library calls on its hot paths:
 Both define the canonical relator order in `sort_relators`, and the
 packed class key, a `bytes` string, in `pack_state` and `unpack_state`;
 `MAX_PACKED_GENERATOR` is the largest generator a key holds.
-`expand_class(state, max_len)` takes a packed class to its packed
-strict-move children, one kernel call per search state.  Both kernels
-apply the search's length budget in the product loop that
-`expand_multiply(ci, cj, max_len)` and `expand_class` share: a product
-whose cyclically reduced core is longer than its budget is dropped
-before it is canonicalized.
+`expand_class(state, max_len, extended=False)` takes a packed class to
+its packed children, one kernel call per search state in both regimes:
+the strict-move children (multiplications, the stabilization, the legal
+destabilizations), then, if `extended`, the generator basis changes in
+the order of `search._basis_changes` (g_i -> g_i g_j^(+-1), then
+g_i -> g_i^-1, then g_i <-> g_j for i < j), each mapped, freely reduced
+and canonicalized in key space.  Every distinct child comes once, at its
+first occurrence.  Both kernels apply the search's length budget in the
+product loop that `expand_multiply(ci, cj, max_len)` and `expand_class`
+share: a product whose cyclically reduced core is longer than its budget
+is dropped before it is canonicalized.  Both read a length bound as an
+integer (`operator.index`), so a bound that is not one fails alike.
 """
 
 import os

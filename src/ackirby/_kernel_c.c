@@ -28,9 +28,14 @@
  * MAX_PACKED_GENERATOR do not fit.  One reader, state_rank, checks a
  * packed state and counts its relators for unpack_state and expand_class.
  * expand_class reads a packed class and writes its children packed, through
- * the product loop that expand_multiply uses.  Like its twin, it collects
- * the children in one dict, setting each child only at its first
- * occurrence, and returns the dict's keys, which keep that order.
+ * the product loop that expand_multiply uses, and in the extended regime
+ * through add_basis_child, which maps, reduces, canonicalizes and sorts
+ * the relators of one generator basis change in key space.  Like its twin,
+ * it collects the children in one dict, setting each child only at its
+ * first occurrence, and returns the dict's keys, which keep that order.
+ * One reader, load_bound, takes the length bound of expand_multiply and
+ * expand_class through PyNumber_Index, as the twin does through
+ * operator.index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -232,6 +237,20 @@ relator_less(const relator_entry *a, const relator_entry *b)
     return keys_less(a->keys, b->keys, a->len);
 }
 
+/* Sorts n entries into canonical relator order.  Insertion sort: n is a
+ * rank, and moving only past strictly greater entries keeps it stable. */
+static void
+sort_entries(relator_entry *e, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 1; i < n; i++) {
+        relator_entry cur = e[i];
+        Py_ssize_t j = i;
+        for (; j > 0 && relator_less(&cur, &e[j - 1]); j--)
+            e[j] = e[j - 1];
+        e[j] = cur;
+    }
+}
+
 PyDoc_STRVAR(sort_relators_doc,
 "sort_relators(rels)\n--\n\n"
 "The given relators as a tuple in canonical order: by length, then\n"
@@ -257,15 +276,7 @@ sort_relators(PyObject *self, PyObject *rels)
         if (e[loaded].keys == NULL)
             goto done;
     }
-    /* insertion sort: n is the rank, and moving only past strictly greater
-     * entries keeps it stable */
-    for (Py_ssize_t i = 1; i < n; i++) {
-        relator_entry cur = e[i];
-        Py_ssize_t j = i;
-        for (; j > 0 && relator_less(&cur, &e[j - 1]); j--)
-            e[j] = e[j - 1];
-        e[j] = cur;
-    }
+    sort_entries(e, n);
     out = PyTuple_New(n);
     if (out == NULL)
         goto done;
@@ -342,6 +353,19 @@ for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
     return 0;
 }
 
+/* The length bound obj as a Py_ssize_t, clamped to its range, in *bound;
+ * -1 with TypeError unless obj is an integer (PyNumber_Index). */
+static int
+load_bound(PyObject *obj, Py_ssize_t *bound)
+{
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return -1;
+    *bound = PyNumber_AsSsize_t(index, NULL);
+    Py_DECREF(index);
+    return 0;
+}
+
 /* expand_multiply's sink: the boxed child with its first witness, into
  * the dict ctx. */
 static int
@@ -369,11 +393,8 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &ci, &cj, &max_len))
         return NULL;
     Py_ssize_t limit = PY_SSIZE_T_MAX;
-    if (max_len != Py_None) {
-        limit = PyLong_AsSsize_t(max_len);
-        if (limit == -1 && PyErr_Occurred())
-            return NULL;
-    }
+    if (max_len != Py_None && load_bound(max_len, &limit) < 0)
+        return NULL;
     Py_ssize_t ni, nj;
     long *a = load_word(ci, &ni, 1);
     if (a == NULL)
@@ -486,13 +507,13 @@ unpack_state(PyObject *self, PyObject *state)
     return out;
 }
 
-/* A packed class being expanded: its bytes, the start and length of each
- * relator there, the relator a product replaces (-1: none), the buffer a
- * child is packed into, and the children so far, as the keys of a dict in
- * first-occurrence order. */
+/* A packed class being expanded: its bytes, rank and total length, the
+ * start and length of each relator there, the relator a product replaces
+ * (-1: none), the buffer a child is packed into, and the children so far,
+ * as the keys of a dict in first-occurrence order. */
 typedef struct {
     const unsigned char *s;
-    Py_ssize_t rank, *start, *len, skip;
+    Py_ssize_t rank, total, *start, *len, skip;
     unsigned char *out;
     PyObject *children;
 } class_ctx;
@@ -561,33 +582,102 @@ add_destabilization(class_ctx *x, Py_ssize_t r, Py_ssize_t size)
     return add_child(x, o);
 }
 
-PyDoc_STRVAR(expand_class_doc,
-"expand_class(state, max_len)\n--\n\n"
-"Packed child classes of a packed class under the strict moves, within\n"
-"total length max_len, each once, in first-occurrence order; see\n"
-"_kernel_py.expand_class.");
+/* A generator basis change: generator g, counted from 0, becomes the
+ * len[g] keys at img[g], and its inverse their inverse.  One entry per
+ * generator a packed state holds. */
+typedef struct {
+    long img[MAX_PACKED_GENERATOR + 1][2];
+    int len[MAX_PACKED_GENERATOR + 1];
+} basis_change;
 
-static PyObject *
-expand_class(PyObject *self, PyObject *args)
+/* Adds the child of the basis change m if its total length is at most
+ * max_len: every relator with each key replaced by its image, freely
+ * reduced and canonicalized, then the relators in canonical order.  For a
+ * class of total length n, work holds 12n + 1 longs (2n canonical keys,
+ * 2n for one relator's image, 8n for its rotations) and e one entry per
+ * relator. */
+static int
+add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
+                long *work, relator_entry *e)
 {
-    PyObject *state;
+    Py_ssize_t n = 0;    /* the child's total length so far */
+    long *w = work + 2 * x->total, *rot = work + 4 * x->total;
+    for (Py_ssize_t r = 0; r < x->rank; r++) {
+        const unsigned char *b = x->s + x->start[r];
+        Py_ssize_t top = 0, i = 0, j;
+        /* the image, reduced by a stack pass */
+        for (Py_ssize_t t = 0; t < x->len[r]; t++) {
+            long k = b[t] - 1, g = k >> 1;
+            for (int d = 0; d < m->len[g]; d++) {
+                long y = k & 1 ? m->img[g][m->len[g] - 1 - d] ^ 1 : m->img[g][d];
+                if (top > 0 && w[top - 1] == (y ^ 1))
+                    top--;
+                else
+                    w[top++] = y;
+            }
+        }
+        /* its cyclically reduced core is w[i..j] */
+        for (j = top - 1; i < j && w[i] == (w[j] ^ 1); i++, j--)
+            ;
+        e[r].obj = NULL;
+        e[r].keys = work + n;
+        e[r].len = j - i + 1;
+        if (e[r].len)
+            memcpy(e[r].keys, least_rotation(w + i, e[r].len, rot), e[r].len * sizeof(long));
+        n += e[r].len;
+    }
+    if (n > max_len)
+        return 0;
+    sort_entries(e, x->rank);
+    Py_ssize_t size = 0;
+    for (Py_ssize_t r = 0; r < x->rank; r++) {
+        for (Py_ssize_t k = 0; k < e[r].len; k++)
+            x->out[size++] = (unsigned char)(e[r].keys[k] + 1);
+        x->out[size++] = 0;
+    }
+    return add_child(x, size);
+}
+
+PyDoc_STRVAR(expand_class_doc,
+"expand_class(state, max_len, extended=False, /)\n--\n\n"
+"Packed child classes of a packed class under the strict moves, then,\n"
+"if extended, under the generator basis changes in the order of\n"
+"search._basis_changes, within total length max_len, each once, in\n"
+"first-occurrence order; see _kernel_py.expand_class.");
+
+/* Positional arguments only (METH_FASTCALL), so that the search's call
+ * per state builds no argument tuple. */
+static PyObject *
+expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int extended = 0;
     Py_ssize_t max_len, rank;
-    if (!PyArg_ParseTuple(args, "On:expand_class", &state, &max_len)
-        || (rank = state_rank(state)) < 0)
+    if (nargs < 2 || nargs > 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "expand_class() takes from 2 to 3 positional arguments but %zd were given",
+                     nargs);
+        return NULL;
+    }
+    PyObject *state = args[0];
+    if ((nargs == 3 && (extended = PyObject_IsTrue(args[2])) < 0)
+        || load_bound(args[1], &max_len) < 0 || (rank = state_rank(state)) < 0)
         return NULL;
     /* any negative bound admits the same children; -1 keeps budgets from wrapping */
     if (max_len < -1)
         max_len = -1;
-    Py_ssize_t size = PyBytes_GET_SIZE(state), total = size - rank;
-    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank};
+    Py_ssize_t size = PyBytes_GET_SIZE(state);
+    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank, size - rank};
     PyObject *out = NULL;
     x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
     long *keys = PyMem_New(long, size + 1);
+    long *work = extended ? PyMem_New(long, 12 * x.total + 1) : NULL;
+    relator_entry *e = extended ? PyMem_New(relator_entry, rank + 1) : NULL;
     x.out = PyMem_Malloc(2 * size + 3);
     x.children = PyDict_New();
     if (x.children == NULL)
         goto done;
-    if (x.start == NULL || keys == NULL || x.out == NULL) {
+    if (x.start == NULL || keys == NULL || x.out == NULL
+        || (extended && (work == NULL || e == NULL))) {
         PyErr_NoMemory();
         goto done;
     }
@@ -599,14 +689,14 @@ expand_class(PyObject *self, PyObject *args)
     }
 
     for (x.skip = 0; x.skip < rank; x.skip++) {
-        Py_ssize_t ni = x.len[x.skip], budget = max_len - (total - ni);
+        Py_ssize_t ni = x.len[x.skip], budget = max_len - (x.total - ni);
         for (Py_ssize_t j = 0; j < rank; j++)
             if (j != x.skip && x.len[j] > 0 &&
                 for_each_product(keys + x.start[x.skip], ni, keys + x.start[j], x.len[j],
                                  budget, class_sink, &x) < 0)
                 goto done;
     }
-    if (total + 1 <= max_len) {
+    if (x.total + 1 <= max_len) {
         if (rank >= MAX_PACKED_GENERATOR) {
             PyErr_Format(PyExc_OverflowError, "stabilizing adds generator %zd, above %d",
                          rank + 1, MAX_PACKED_GENERATOR);
@@ -620,11 +710,50 @@ expand_class(PyObject *self, PyObject *args)
     for (Py_ssize_t r = 0; rank > 1 && r < rank; r++)
         if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
             goto done;
+    if (extended && rank > MAX_PACKED_GENERATOR) {
+        PyErr_Format(PyExc_OverflowError, "basis changes at rank %zd name generators above %d",
+                     rank, MAX_PACKED_GENERATOR);
+        goto done;
+    }
+    if (extended) {
+        /* each change is set on the identity and undone after its child */
+        basis_change m;
+        for (long g = 0; g <= MAX_PACKED_GENERATOR; g++) {
+            m.img[g][0] = 2 * g;
+            m.len[g] = 1;
+        }
+        for (long i = 0; i < rank; i++) {
+            m.len[i] = 2;    /* g_i -> g_i g_j, then g_i -> g_i g_j^-1, for each j */
+            for (long c = 0; c < 2 * rank; c++) {
+                m.img[i][1] = c;
+                if (c >> 1 != i && add_basis_child(&x, &m, max_len, work, e) < 0)
+                    goto done;
+            }
+            m.len[i] = 1;
+        }
+        for (long i = 0; i < rank; i++) {
+            m.img[i][0] = 2 * i + 1;    /* g_i -> g_i^-1 */
+            if (add_basis_child(&x, &m, max_len, work, e) < 0)
+                goto done;
+            m.img[i][0] = 2 * i;
+        }
+        for (long i = 0; i < rank; i++)
+            for (long j = i + 1; j < rank; j++) {
+                m.img[i][0] = 2 * j;    /* g_i <-> g_j */
+                m.img[j][0] = 2 * i;
+                if (add_basis_child(&x, &m, max_len, work, e) < 0)
+                    goto done;
+                m.img[i][0] = 2 * i;
+                m.img[j][0] = 2 * j;
+            }
+    }
     out = PyDict_Keys(x.children);
 done:
     Py_XDECREF(x.children);
     PyMem_Free(x.start);
     PyMem_Free(keys);
+    PyMem_Free(work);
+    PyMem_Free(e);
     PyMem_Free(x.out);
     return out;
 }
@@ -638,7 +767,8 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
     {"pack_state", pack_state, METH_O, pack_state_doc},
     {"unpack_state", unpack_state, METH_O, unpack_state_doc},
-    {"expand_class", expand_class, METH_VARARGS, expand_class_doc},
+    {"expand_class", (PyCFunction)(void (*)(void))expand_class, METH_FASTCALL,
+     expand_class_doc},
     {NULL, NULL, 0, NULL},
 };
 

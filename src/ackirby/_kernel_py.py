@@ -29,8 +29,15 @@ the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
 Byte order is key order, so comparing two relators' bytes compares
 their keys.  `_state_parts`, the one state reader, checks a packed state
 and splits it into relators for `unpack_state` and `expand_class`, which
-takes a packed class to its packed strict-move children.
+takes a packed class to its packed children: the strict-move children,
+then, in the extended regime, those of the generator basis changes.
+
+Both functions that take a length bound read it through
+`operator.index`, as the compiled twin does through `PyNumber_Index`, so
+a bound that is not an integer fails alike in both kernels.
 """
+
+import operator
 
 MAX_PACKED_GENERATOR = 127
 
@@ -89,17 +96,22 @@ def invert_word(w):
     return tuple(-v for v in reversed(w))
 
 
+def _canonical(keys):
+    """Canonical key tuple of a reduced key sequence: the least rotation
+    of its cyclically reduced core or of the core's inverse, () if the
+    core is empty."""
+    i, j = 0, len(keys) - 1
+    while i < j and keys[i] == keys[j] ^ 1:
+        i += 1
+        j -= 1
+    return _least_rotation(tuple(keys[i:j + 1])) if i <= j else ()
+
+
 def canonical_relator(w):
     """Canonical form of a relator up to conjugation and inversion: the
     least rotation, in key order, of its cyclically reduced core or of
     the core's inverse."""
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == -w[j]:
-        i += 1
-        j -= 1
-    if i > j:
-        return ()
-    return _decode(_least_rotation(_encode(w[i:j + 1])))
+    return _decode(_canonical(_encode(w)))
 
 
 def _relator_key(w):
@@ -163,7 +175,7 @@ def expand_multiply(ci, cj, max_len=None):
     decoded once.
     """
     a, b = _encode(ci), _encode(cj)
-    limit = len(a) + len(b) if max_len is None else max_len
+    limit = len(a) + len(b) if max_len is None else operator.index(max_len)
     return {_decode(child): witness for child, witness in _products(a, b, limit).items()}
 
 
@@ -218,10 +230,28 @@ def _insert(rest, child):
     return b"\0".join(rest[:pos] + [child] + rest[pos:]) + b"\0"
 
 
-def expand_class(state, max_len):
+def _basis_changes(rank):
+    """The generator basis changes at a rank, in the order of
+    search._basis_changes, each as a dict from the key of a generator it
+    moves to the key tuple of that generator's image."""
+    gens = range(0, 2 * rank, 2)
+    for a in gens:
+        for c in range(2 * rank):    # g_j, then g_j^-1, for each j
+            if c >> 1 != a >> 1:
+                yield {a: (a, c)}
+    for a in gens:
+        yield {a: (a + 1,)}
+    for a in gens:
+        for b in gens:
+            if a < b:
+                yield {a: (b,), b: (a,)}
+
+
+def expand_class(state, max_len, extended=False, /):
     """Packed child classes of the packed class `state` under the strict
-    moves, within total length max_len: each distinct child once, at its
-    first occurrence in this order.
+    moves, and with `extended` true also under the generator basis
+    changes, within total length max_len: each distinct child once, at
+    its first occurrence in this order.
 
     First the multiplications: for each relator i, then each nonempty
     relator j != i, the children of expand_multiply(ci, cj, budget) in
@@ -231,7 +261,18 @@ def expand_class(state, max_len):
     no other relator is dropped, and the generators above it move down
     one index.  Renumbering keeps canonical relators canonical and
     sorted.
+
+    Then, if `extended`, the basis changes of the class's rank r, in the
+    order of search._basis_changes: g_i -> g_i g_j and g_i -> g_i g_j^-1
+    for each i, then each j != i; g_i -> g_i^-1 for each i; g_i <-> g_j
+    for each i < j.  Each one replaces every letter of every relator by
+    its image, freely reduces and canonicalizes each relator and sorts
+    the relators; the child is kept if its total length fits.
+
+    `extended` is read by truth value, then max_len by operator.index,
+    then the state, which is the compiled kernel's order.
     """
+    extended, max_len = bool(extended), operator.index(max_len)
     parts = _state_parts(state)
     rank = len(parts)
     total = len(state) - rank
@@ -259,4 +300,25 @@ def expand_class(state, max_len):
                 continue
             out[b"".join(bytes([b - 2 if b > hi else b for b in r]) + b"\0"
                          for r in rest)] = None
+    if extended and rank > MAX_PACKED_GENERATOR:
+        raise OverflowError("basis changes at rank %d name generators above %d"
+                            % (rank, MAX_PACKED_GENERATOR))
+    for change in _basis_changes(rank) if extended else ():
+        table = {}
+        for a, image in change.items():
+            table[a] = image
+            table[a + 1] = tuple([k ^ 1 for k in reversed(image)])
+        child = []
+        for r in keys:
+            w = []
+            for k in r:
+                for y in table.get(k, (k,)):
+                    if w and w[-1] == y ^ 1:
+                        w.pop()
+                    else:
+                        w.append(y)
+            child.append(bytes([k + 1 for k in _canonical(w)]))
+        if sum(map(len, child)) <= max_len:
+            child.sort(key=lambda part: (len(part), part))
+            out[b"".join(part + b"\0" for part in child)] = None
     return list(out)

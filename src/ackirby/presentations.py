@@ -16,7 +16,9 @@ tuples whose number is the rank; the generator-level moves are generator
 maps applied by words.map_generators.  apply_move, the search's
 successors (search._successors) and certificate expansion all call it.
 The search itself expands packed classes with the kernel's
-`expand_class`, which a test holds to the children of `_successors`.
+`expand_class`, which applies the strict moves and, in the extended
+regime, the generator basis changes to packed keys; tests hold it to the
+children of `_successors` in both regimes.
 """
 
 from dataclasses import dataclass

@@ -15,12 +15,13 @@ move by move.
 A class is keyed by its packed state: the `bytes` string that
 `_kernel.pack_state` makes of its sorted canonical relators
 (presentations.canonical_form).  The visited table maps each key to its
-parent's key, and the search expands a class by one kernel call,
-`_kernel.expand_class`, which returns its strict-move children packed.
-The extended regime adds the basis-change children, which `_move_edges`
-makes from the unpacked class.  A start of rank r searched within total
-length L reaches no generator above r + L, so `_validate_config`
-requires r + L <= 127, the most a packed key holds.
+parent's key, and the search expands a class by one kernel call in
+either regime, `_kernel.expand_class`, which returns its children
+packed: the strict-move children, then, in the extended regime, those of
+the basis changes, which it maps and canonicalizes in key space.  A
+start of rank r searched within total length L reaches no generator
+above r + L, so `_validate_config` requires r + L <= 127, the most a
+packed key holds.
 
 Only the path to a trivial class needs its edges.  Certificate
 expansion unpacks the classes on that path and re-derives each edge from
@@ -34,9 +35,10 @@ apply_move replays, skips m where atomic_move rejects it, and keeps the
 canonical child if it fits max_len.  `_successors` gives it the
 stabilization and the destabilization of each single-letter relator
 (plus the basis changes in the extended regime), so a class edge and
-its atomic moves cannot drift apart.  `expand_class` yields the strict
-children of `_successors` in the same order, each once; tests check the
-two against each other and against the naive oracle.
+its atomic moves cannot drift apart.  `expand_class` yields the
+children of `_successors` in the same order, each once, in both
+regimes; tests check the two against each other and against the naive
+oracle.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
@@ -151,7 +153,7 @@ def verify(cert, trace=False):
 @functools.lru_cache(maxsize=None)
 def _basis_changes(rank):
     """The extended regime's generator basis changes at a rank, in
-    enumeration order."""
+    enumeration order, which `_kernel.expand_class` follows too."""
     gens = range(1, rank + 1)
     moves = [NielsenGenerator(i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
     moves += [InvertGenerator(i) for i in gens]
@@ -335,8 +337,7 @@ def search(start, cfg, progress=None):
     """
     _validate_config(start, cfg)
     L, D = cfg.max_total_length, cfg.max_depth
-    pack_state, unpack_state = _kernel.pack_state, _kernel.unpack_state
-    expand_class = _kernel.expand_class
+    pack_state, expand_class = _kernel.pack_state, _kernel.expand_class
     extended = cfg.move_regime == "extended"
     start_state = pack_state(canonical_form(start))
     visited = {start_state: None}    # packed class -> packed parent class
@@ -355,12 +356,7 @@ def search(start, cfg, progress=None):
         full = False
         new_states = []
         for parent in frontier:
-            children = expand_class(parent, L)
-            if extended:
-                rels = unpack_state(parent)
-                children += [pack_state(child) for _, child
-                             in _move_edges(rels, L, _basis_changes(len(rels)))]
-            for child in children:
+            for child in expand_class(parent, L, extended):
                 if child in visited:
                     continue
                 if len(visited) >= cfg.dedup_capacity:

@@ -257,10 +257,11 @@ class TestFunctionParity:
 
     @settings(max_examples=300, deadline=None)
     @given(packable_classes(max_generator=127, max_size=7),
-           st.integers(min_value=-2, max_value=24))
-    def test_expand_class(self, ck, rels, max_len):
+           st.integers(min_value=-2, max_value=24), st.booleans())
+    def test_expand_class(self, ck, rels, max_len, extended):
         state = pk.pack_state(rels)
-        assert pk.expand_class(state, max_len) == ck.expand_class(state, max_len)
+        assert pk.expand_class(state, max_len, extended) == \
+            ck.expand_class(state, max_len, extended)
 
 
 @needs_compiler
@@ -276,6 +277,49 @@ def test_malformed_state_fails_alike(ck, call, state):
     want = outcome(call, pk, state)
     assert want[0] in (TypeError, ValueError)
     assert outcome(call, ck, state) == want
+
+
+@needs_compiler
+@pytest.mark.parametrize("bound", (5.0, "5", None, True, 2**70, -2**70),
+                         ids=("float", "str", "None", "True", "huge", "huge_negative"))
+@pytest.mark.parametrize("call", (lambda k, b: k.expand_class(b"\x01\x00", b),
+                                  lambda k, b: k.expand_multiply((1,), (2,), b)),
+                         ids=("expand_class", "expand_multiply"))
+def test_length_bound_read_alike(ck, call, bound):
+    """Both kernels read a length bound as an integer (operator.index), so
+    they agree on one that is not an int: each raises the same TypeError
+    or returns the same children.  A bound beyond a C ssize_t admits the
+    same children as any bound past the class; for expand_multiply None
+    means no bound."""
+    want = outcome(call, pk, bound)
+    assert outcome(call, ck, bound) == want
+    if isinstance(bound, (float, str)):
+        assert want[0] is TypeError
+
+
+@needs_compiler
+@pytest.mark.parametrize("extended", (0, 1, None, "", "no", [], [0], 2.5),
+                         ids=("0", "1", "None", "empty_str", "str", "empty_list", "list", "float"))
+def test_extended_read_alike(ck, extended):
+    """Both kernels take `extended` by its truth value, and by position
+    only."""
+    state = pk.pack_state([(1,), (1, 2)])
+    want = pk.expand_class(state, 6, bool(extended))
+    assert ck.expand_class(state, 6, extended) == pk.expand_class(state, 6, extended) == want
+    for kernel in (pk, ck):
+        with pytest.raises(TypeError):
+            kernel.expand_class(state, 6, extended=extended)
+
+
+@needs_compiler
+def test_basis_changes_need_a_packable_rank(ck):
+    """Above rank 127 the basis changes name generators that a packed
+    class does not hold; both kernels refuse them alike."""
+    state = b"\0" * 128
+    want = outcome(pk.expand_class, state, 0, True)
+    assert want == (OverflowError, "basis changes at rank 128 name generators above 127")
+    assert outcome(ck.expand_class, state, 0, True) == want
+    assert ck.expand_class(state, 0) == pk.expand_class(state, 0) == []
 
 
 @needs_compiler
@@ -320,6 +364,8 @@ def test_compiled_kernel_does_not_leak(ck):
         (ck.unpack_state, (pk.pack_state([(1, 2, -1), (3,), (1, 1, -2)]),)),
         # a multiplication, the stabilization and a destabilization
         (ck.expand_class, (pk.pack_state([(1,), (2, 2)]), 4)),
+        # and the basis changes, with a Nielsen move that cancels
+        (ck.expand_class, (pk.pack_state([(1,), (1, -2, -2)]), 6, True)),
     )
     for fn, args in calls:
         watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
@@ -392,6 +438,7 @@ for _ in range(int(sys.argv[4])):
     assert ck.pack_state(rels) == state and ck.unpack_state(state) == rels, rels
     b = rng.randrange(-2, 25)
     assert ck.expand_class(state, b) == pk.expand_class(state, b), (rels, b)
+    assert ck.expand_class(state, b, True) == pk.expand_class(state, b, True), (rels, b)
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(12))) + b"\\0"
     assert ck.unpack_state(raw) == pk.unpack_state(raw), raw
 print("ok")
@@ -450,7 +497,8 @@ import json
 import ackirby
 from ackirby.family import presentation_Ln1
 from ackirby.search import SearchConfig, outcome_to_dict, search
-out = search(presentation_Ln1(%d), SearchConfig(max_total_length=%d, max_depth=%d))
+out = search(presentation_Ln1(%d),
+             SearchConfig(max_total_length=%d, max_depth=%d, move_regime=%r))
 print(ackirby.BACKEND)
 print(json.dumps(outcome_to_dict(out), sort_keys=True))
 """
@@ -458,9 +506,11 @@ print(json.dumps(outcome_to_dict(out), sort_keys=True))
 
 @needs_compiler
 class TestWholeSearchParity:
-    @pytest.mark.parametrize("n,L,D", [(0, 13, 20), (3, 13, 8)])
-    def test_search_identical_across_backends(self, built_tree, n, L, D):
-        code = SEARCH_SNIPPET % (n, L, D)
+    @pytest.mark.parametrize("n,L,D,regime", [(0, 13, 20, "strict"), (3, 13, 8, "strict"),
+                                              (2, 12, 6, "extended")],
+                             ids=("0-13-20", "3-13-8", "2-12-6-extended"))
+    def test_search_identical_across_backends(self, built_tree, n, L, D, regime):
+        code = SEARCH_SNIPPET % (n, L, D, regime)
         c_backend, c_out = run_py(code, pure=False, tree=built_tree).split("\n", 1)
         py_backend, py_out = run_py(code, pure=True, tree=built_tree).split("\n", 1)
         assert (c_backend, py_backend) == ("c", "python")

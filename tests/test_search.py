@@ -257,32 +257,55 @@ class TestDeterminism:
         out = search(presentation_Ln1(3), cfg(16, 40))
         assert (out.status, out.stats.visited, out.stats.depth_reached) == ("exhausted", 914, 11)
 
-    @pytest.mark.parametrize("reference, max_len, classes", [
-        ("successors", 16, 914), ("naive", 15, 82)], ids=("successors", "naive"))
-    def test_expand_class_matches_successors(self, reference, max_len, classes):
-        """On every class of the complete n=3 graph within the length
-        bound, the kernel's packed children are the reference's children,
-        packed, each at its first occurrence.  The references are
-        `_successors`, whose products come from the same product loop as
-        `expand_class`, and the naive oracle, which shares no code."""
+    @pytest.mark.parametrize("reference, n, max_len, regime, depth, classes", [
+        ("successors", 3, 16, "strict", 40, 914), ("naive", 3, 15, "strict", 40, 82),
+        ("successors", 2, 12, "extended", 5, 712), ("naive", 2, 12, "extended", 5, 712)],
+        ids=("successors", "naive", "successors-extended", "naive-extended"))
+    def test_expand_class_matches_successors(self, reference, n, max_len, regime, depth,
+                                             classes):
+        """On every class within `depth` moves of family member n and
+        within the length bound, the kernel's packed children are the
+        reference's children, packed, each at its first occurrence.  In
+        the strict regime that is the complete n=3 graph; in the extended
+        regime the basis-change children follow the strict ones.  The
+        references are `_successors`, whose products come from the same
+        product loop as `expand_class`, and the naive oracle, which
+        shares no code."""
         def reference_children(rels):
             if reference == "naive":
-                return [child for _, child in naive_successors((len(rels), rels), max_len)]
-            return [child for _, child in search_module._successors(rels, max_len, "strict")]
+                return [child for _, child
+                        in naive_successors((len(rels), rels), max_len, regime)]
+            return [child for _, child in search_module._successors(rels, max_len, regime)]
 
         pack = search_module._kernel.pack_state
-        start = search_module.canonical_form(presentation_Ln1(3))
+        extended = regime == "extended"
+        start = search_module.canonical_form(presentation_Ln1(n))
         seen, frontier = {start}, [start]
-        while frontier:
+        for _ in range(depth):
             level = []
             for rels in frontier:
                 children = reference_children(rels)
                 want = list(dict.fromkeys(map(pack, children)))
-                assert search_module._kernel.expand_class(pack(rels), max_len) == want, rels
+                got = search_module._kernel.expand_class(pack(rels), max_len, extended)
+                assert got == want, rels
                 level += [child for child in dict.fromkeys(children) if child not in seen]
                 seen.update(level)
             frontier = level
         assert len(seen) == classes
+        assert bool(frontier) == extended    # the strict graphs run out
+
+    def test_extended_search_expands_packed_classes(self, monkeypatch):
+        """The extended search expands each class by one kernel call: it
+        neither unpacks a class nor makes basis-change edges in Python
+        unless it expands a found certificate."""
+        def refuse(*args):
+            raise AssertionError("called while expanding a class")
+
+        monkeypatch.setattr(search_module, "_move_edges", refuse)
+        monkeypatch.setattr(search_module._kernel, "unpack_state", refuse)
+        out = search(presentation_Ln1(2), cfg(12, 5, move_regime="extended"))
+        start = [r.letters for r in presentation_Ln1(2).relators]
+        assert (out.status, out.stats.visited) == naive_search(2, start, 12, 5, "extended")
 
     def test_monotone_in_bounds(self):
         start = presentation_Ln1(0)

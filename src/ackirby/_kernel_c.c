@@ -710,12 +710,13 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     for (Py_ssize_t r = 0; rank > 1 && r < rank; r++)
         if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
             goto done;
-    if (extended && rank > MAX_PACKED_GENERATOR) {
-        PyErr_Format(PyExc_OverflowError, "basis changes at rank %zd name generators above %d",
-                     rank, MAX_PACKED_GENERATOR);
-        goto done;
-    }
     if (extended) {
+        if (rank > MAX_PACKED_GENERATOR) {
+            PyErr_Format(PyExc_OverflowError,
+                         "basis changes at rank %zd name generators above %d",
+                         rank, MAX_PACKED_GENERATOR);
+            goto done;
+        }
         /* each change is set on the identity and undone after its child */
         basis_change m;
         for (long g = 0; g <= MAX_PACKED_GENERATOR; g++) {

@@ -296,8 +296,9 @@ class TestDeterminism:
 
     def test_extended_search_expands_packed_classes(self, monkeypatch):
         """The extended search expands each class by one kernel call: it
-        neither unpacks a class nor makes basis-change edges in Python
-        unless it expands a found certificate."""
+        neither unpacks a class nor makes basis-change edges in Python.
+        Only the expansion of a found certificate does, and this search
+        finds none."""
         def refuse(*args):
             raise AssertionError("called while expanding a class")
 

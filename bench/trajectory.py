@@ -6,7 +6,8 @@
 Each row runs `python -m ackirby.cli search ARGS --format json` with
 DIR/src on PYTHONPATH (DIR defaults to this checkout), on the compiled
 kernel (backend `c`; build it first with `python setup.py build_ext
---inplace` in DIR) or on the pure-Python one (`ACKIRBY_PURE=1`).  A row
+--inplace` in DIR) or on the pure-Python one (`ACKIRBY_PURE=1`).  Each
+row names the backends it runs on; --backend picks among those.  A row
 records the search's status, visited classes and depth reached, its wall
 time, the child's CPU time and peak RSS (`ru_maxrss`), the backend that
 actually ran, and the commit of DIR.  A speed claim is then a diff
@@ -30,20 +31,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PREFIX = "<gersten prefix>"   # replaced by the path of the prefix certificate
 
-# name -> `ackirby search` arguments
-ROWS = {
-    "criterion-3": ("--family", "n=2", "--prefix", PREFIX,
-                    "--max-len", "15", "--max-depth", "24"),
-    "n1-L15-D24": ("--family", "n=1", "--max-len", "15", "--max-depth", "24"),
-    "n3-L17-D6": ("--family", "n=3", "--max-len", "17", "--max-depth", "6"),
-    # the whole L=17 graph: D=6 stops at the depth cap, D=40 does not
-    "n3-L17-D40": ("--family", "n=3", "--max-len", "17", "--max-depth", "40"),
-    "n3-L18-D24": ("--family", "n=3", "--max-len", "18", "--max-depth", "24"),
-    # the extended regime, where generator basis changes add edges
-    "n2-ext-L14-D24": ("--family", "n=2", "--regime", "extended",
-                       "--max-len", "14", "--max-depth", "24"),
-}
 BACKENDS = ("c", "python")
+
+# name -> (`ackirby search` arguments, backends the row runs on)
+ROWS = {
+    "criterion-3": (("--family", "n=2", "--prefix", PREFIX,
+                     "--max-len", "15", "--max-depth", "24"), BACKENDS),
+    "n1-L15-D24": (("--family", "n=1", "--max-len", "15", "--max-depth", "24"), BACKENDS),
+    "n3-L17-D6": (("--family", "n=3", "--max-len", "17", "--max-depth", "6"), BACKENDS),
+    # the whole L=17 graph: D=6 stops at the depth cap, D=40 does not
+    "n3-L17-D40": (("--family", "n=3", "--max-len", "17", "--max-depth", "40"), BACKENDS),
+    "n3-L18-D24": (("--family", "n=3", "--max-len", "18", "--max-depth", "24"), BACKENDS),
+    # the extended regime, where generator basis changes add edges
+    "n2-ext-L14-D24": (("--family", "n=2", "--regime", "extended",
+                        "--max-len", "14", "--max-depth", "24"), BACKENDS),
+    # The n=3 frontier: whole class graphs of millions of classes, whose
+    # frontier runs out well within the depth cap.  The pure kernel would
+    # take hours on them, so they run compiled only.
+    "n3-L19-D40": (("--family", "n=3", "--max-len", "19", "--max-depth", "40",
+                    "--capacity", "40000000"), ("c",)),
+    "n3-ext-L15-D60": (("--family", "n=3", "--regime", "extended",
+                        "--max-len", "15", "--max-depth", "60"), ("c",)),
+    "n3-ext-L16-D60": (("--family", "n=3", "--regime", "extended",
+                        "--max-len", "16", "--max-depth", "60",
+                        "--capacity", "10000000"), ("c",)),
+}
 
 
 def _env(tree, backend):
@@ -68,7 +80,7 @@ def run_row(name, tree, backend, prefix):
     if active != backend:
         raise SystemExit("backend %s requested, but %s ran in %s; is the compiled kernel "
                          "built in place?" % (backend, active, tree))
-    argv = [str(prefix) if a == PREFIX else a for a in ROWS[name]]
+    argv = [str(prefix) if a == PREFIX else a for a in ROWS[name][0]]
     cmd = [sys.executable, "-m", "ackirby.cli", "search"] + argv + ["--format", "json"]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
@@ -84,7 +96,7 @@ def run_row(name, tree, backend, prefix):
     outcome = json.loads(text)["outcome"]
     return {
         "row": name,
-        "argv": list(ROWS[name]),
+        "argv": list(ROWS[name][0]),
         "backend": active,
         "commit": _git(tree, "rev-parse", "HEAD"),
         "dirty": bool(_git(tree, "status", "--porcelain", "--", "src", "setup.py")),
@@ -105,7 +117,7 @@ def main(argv=None):
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout whose src/ is run (default: this one)")
     parser.add_argument("--backend", choices=BACKENDS, action="append",
-                        help="kernel to run on (repeatable; default both)")
+                        help="kernel to run on (repeatable; default each of the row's)")
     parser.add_argument("--row", choices=sorted(ROWS), action="append",
                         help="row to run (repeatable; default all)")
     parser.add_argument("--out", type=Path, help="JSON list to append the rows to")
@@ -118,7 +130,7 @@ def main(argv=None):
                         "--prefix-only", "--cert-out", str(prefix)],
                        env=_env(tree, "python"), check=True, capture_output=True)
         for name in args.row or ROWS:
-            for backend in args.backend or BACKENDS:
+            for backend in [b for b in ROWS[name][1] if b in (args.backend or BACKENDS)]:
                 row = run_row(name, tree, backend, prefix)
                 rows.append(row)
                 print(json.dumps(row, sort_keys=True), flush=True,

@@ -3,15 +3,18 @@
 The compiled kernel (`_kernel_c`, built from the hand-written
 `_kernel_c.c`) is preferred; the pure-Python twin (`_kernel_py`) is the
 fallback.  Set ACKIRBY_PURE=1 to force the fallback, e.g. to compare
-results or benchmark.  A compiled module that lacks any of the eight
+results or benchmark.  A compiled module that lacks any of its six
 functions counts as absent, so a stale build falls back too, as does
 one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 
-The kernel is the eight functions the library calls on its hot paths:
-`reduce_word`, `invert_word`, `canonical_relator`, `sort_relators`,
-`expand_multiply`, `pack_state`, `unpack_state` and `expand_class`.
-Both define the canonical relator order in `sort_relators`, and the
-packed class key, a `bytes` string, in `pack_state` and `unpack_state`;
+The kernel is the eight functions the library calls: six on its hot
+paths, `reduce_word`, `invert_word`, `canonical_relator`,
+`sort_relators`, `expand_multiply` and `expand_class`, from the selected
+module, and the packed-state codec, `pack_state` and `unpack_state`,
+from `_kernel_py` on both backends, since a search calls it only a few
+times.  Both modules define the canonical relator order in
+`sort_relators`.  The packed class key, a `bytes` string, has its one
+writer and one reader in `pack_state` and `unpack_state`;
 `MAX_PACKED_GENERATOR` is the largest generator a key holds.
 `expand_class(state, max_len, extended=False)` takes a packed class to
 its packed children, one kernel call per search state in both regimes:
@@ -40,13 +43,14 @@ try:
             if getattr(_kernel_c, "SOURCE_CRC32", None) != "%08x" % zlib.crc32(_fh.read()):
                 raise ImportError("_kernel_c was built from another _kernel_c.c")
     from ackirby._kernel_c import (
-        MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,
-        invert_word, pack_state, reduce_word, sort_relators, unpack_state,
+        canonical_relator, expand_class, expand_multiply, invert_word, reduce_word,
+        sort_relators,
     )
     BACKEND = "c"
 except ImportError:
     from ackirby._kernel_py import (
-        MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,
-        invert_word, pack_state, reduce_word, sort_relators, unpack_state,
+        canonical_relator, expand_class, expand_multiply, invert_word, reduce_word,
+        sort_relators,
     )
     BACKEND = "python"
+from ackirby._kernel_py import MAX_PACKED_GENERATOR, pack_state, unpack_state

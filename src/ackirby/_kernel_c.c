@@ -8,10 +8,10 @@
  * key fits in a C long even where that is 32 bits, and nothing wraps.
  * One boxer, box_word, builds every word tuple, decoding keys where asked.
  *
- * The module holds the eight functions the library calls on its hot paths:
+ * The module holds the six functions the library calls on its hot paths:
  * reduce_word, invert_word, canonical_relator, sort_relators,
- * expand_multiply, pack_state, unpack_state and expand_class.  Cold word
- * operations are written once, in Python, at their callers.
+ * expand_multiply and expand_class.  The packed-state codec (pack_state,
+ * unpack_state) and cold word operations are written once, in Python.
  *
  * setup.py passes this file's CRC-32 (8 hex digits) as SOURCE_CRC32, which
  * the module exposes, so that ackirby._kernel can tell a stale build.
@@ -23,19 +23,19 @@
  * (length, then keys); it compares key buffers and boxes nothing but its
  * result tuple.
  *
- * A packed state (see _kernel_py) holds, for each relator in canonical
- * order, its keys plus one as bytes, then a 0 byte; generators above
- * MAX_PACKED_GENERATOR do not fit.  One reader, state_rank, checks a
- * packed state and counts its relators for unpack_state and expand_class.
- * expand_class reads a packed class and writes its children packed, through
- * the product loop that expand_multiply uses, and in the extended regime
- * through add_basis_child, which maps, reduces, canonicalizes and sorts
- * the relators of one generator basis change in key space.  Like its twin,
- * it collects the children in one dict, setting each child only at its
- * first occurrence, and returns the dict's keys, which keep that order.
- * One reader, load_bound, takes the length bound of expand_multiply and
- * expand_class through PyNumber_Index, as the twin does through
- * operator.index.
+ * A packed state (see _kernel_py.pack_state) holds, for each relator in
+ * canonical order, its keys plus one as bytes, then a 0 byte; generators
+ * above MAX_PACKED_GENERATOR do not fit.  One reader, state_rank, checks a
+ * packed state as _kernel_py._state_parts does and counts its relators for
+ * expand_class, which reads a packed class and writes its children packed,
+ * through the product loop that expand_multiply uses, and in the extended
+ * regime through add_basis_child, which maps, reduces, canonicalizes and
+ * sorts the relators of one generator basis change in key space.  Like
+ * its twin, it collects the children in one dict, setting each child only
+ * at its first occurrence, and returns the dict's keys, which keep that
+ * order.  One reader, load_bound, takes the length bound of
+ * expand_multiply and expand_class through PyNumber_Index, as the twin
+ * does through operator.index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -408,60 +408,10 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
     return res;
 }
 
-PyDoc_STRVAR(pack_state_doc,
-"pack_state(rels)\n--\n\n"
-"Packed state of relators given in canonical order; it does not sort\n"
-"them.  OverflowError for a generator above MAX_PACKED_GENERATOR.");
-
-static PyObject *
-pack_state(PyObject *self, PyObject *rels)
-{
-    PyObject *fast = PySequence_Fast(rels, "relators must be a sequence of words");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), size = n;
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    PyObject *out = NULL;
-    /* zeroed, so that every entry's keys can be freed */
-    relator_entry *e = PyMem_Calloc(n + 1, sizeof(relator_entry));
-    if (e == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        e[i].keys = load_word(items[i], &e[i].len, 1);
-        if (e[i].keys == NULL)
-            goto done;
-        for (Py_ssize_t k = 0; k < e[i].len; k++)
-            if (e[i].keys[k] >= 2 * MAX_PACKED_GENERATOR) {
-                PyErr_Format(PyExc_OverflowError, "generator index of letter %ld exceeds %d",
-                             letter_of(e[i].keys[k]), MAX_PACKED_GENERATOR);
-                goto done;
-            }
-        size += e[i].len;
-    }
-    out = PyBytes_FromStringAndSize(NULL, size);
-    if (out == NULL)
-        goto done;
-    unsigned char *o = (unsigned char *)PyBytes_AS_STRING(out);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        for (Py_ssize_t k = 0; k < e[i].len; k++)
-            *o++ = (unsigned char)(e[i].keys[k] + 1);
-        *o++ = 0;
-    }
-done:
-    if (e != NULL) {
-        for (Py_ssize_t i = 0; i < n; i++)
-            PyMem_Free(e[i].keys);
-        PyMem_Free(e);
-    }
-    Py_DECREF(fast);
-    return out;
-}
-
 /* Rank of a packed state: its number of 0 bytes.  -1 with TypeError
  * unless it is bytes, or with ValueError unless it is empty or ends with
- * a 0 byte. */
+ * a 0 byte, or if a byte names a generator above MAX_PACKED_GENERATOR,
+ * whose keys plus one would not fit in a byte. */
 static Py_ssize_t
 state_rank(PyObject *state)
 {
@@ -469,42 +419,21 @@ state_rank(PyObject *state)
         PyErr_Format(PyExc_TypeError, "a packed state must be bytes, got %R", state);
         return -1;
     }
-    const char *s = PyBytes_AS_STRING(state);
+    const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(state);
     Py_ssize_t size = PyBytes_GET_SIZE(state), rank = 0;
     if (size && s[size - 1] != 0) {
         PyErr_SetString(PyExc_ValueError, "a packed state must end with a 0 byte");
         return -1;
     }
-    for (Py_ssize_t t = 0; t < size; t++)
+    for (Py_ssize_t t = 0; t < size; t++) {
+        if (s[t] > 2 * MAX_PACKED_GENERATOR) {
+            PyErr_Format(PyExc_ValueError, "packed state byte %d names a generator above %d",
+                         s[t], MAX_PACKED_GENERATOR);
+            return -1;
+        }
         rank += s[t] == 0;
-    return rank;
-}
-
-PyDoc_STRVAR(unpack_state_doc,
-"unpack_state(state)\n--\n\n"
-"Relators of a packed state, as letter tuples; inverse of pack_state.");
-
-static PyObject *
-unpack_state(PyObject *self, PyObject *state)
-{
-    Py_ssize_t rank = state_rank(state);
-    if (rank < 0)
-        return NULL;
-    const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(state);
-    Py_ssize_t size = PyBytes_GET_SIZE(state);
-    long *keys = PyMem_New(long, size + 1);
-    PyObject *out = keys ? PyTuple_New(rank) : PyErr_NoMemory();
-    for (Py_ssize_t r = 0, t = 0, n; out != NULL && r < rank; r++, t += n + 1) {
-        for (n = 0; s[t + n]; n++)
-            keys[n] = (long)s[t + n] - 1;
-        PyObject *rel = box_word(keys, n, 1);
-        if (rel == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, r, rel);
     }
-    PyMem_Free(keys);
-    return out;
+    return rank;
 }
 
 /* A packed class being expanded: its bytes, rank and total length, the
@@ -542,7 +471,8 @@ relator_after(const class_ctx *x, Py_ssize_t r, const long *c, Py_ssize_t n)
 }
 
 /* The sink of expand_class: packs the class's relators but x->skip, with
- * the n keys at c inserted in canonical order, and adds the child. */
+ * the n keys at c inserted before the first of them that sorts after them
+ * (canonical order, as _kernel_py._insert), and adds the child. */
 static int
 class_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssize_t q)
 {
@@ -550,7 +480,7 @@ class_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssi
     Py_ssize_t size = 0;
     int placed = 0;
     for (Py_ssize_t r = 0; r <= x->rank; r++) {
-        if (!placed && (r == x->rank || relator_after(x, r, c, n))) {
+        if (!placed && (r == x->rank || (r != x->skip && relator_after(x, r, c, n)))) {
             for (Py_ssize_t k = 0; k < n; k++)
                 x->out[size++] = (unsigned char)(c[k] + 1);
             x->out[size++] = 0;
@@ -766,8 +696,6 @@ static PyMethodDef kernel_methods[] = {
     {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
-    {"pack_state", pack_state, METH_O, pack_state_doc},
-    {"unpack_state", unpack_state, METH_O, unpack_state_doc},
     {"expand_class", (PyCFunction)(void (*)(void))expand_class, METH_FASTCALL,
      expand_class_doc},
     {NULL, NULL, 0, NULL},

@@ -2,11 +2,12 @@
 
 Letters are nonzero signed integers: +k is the k-th generator, -k its
 inverse.  Words are tuples of letters.  The compiled twin of this module
-(`_kernel_c`) implements the same eight functions: `reduce_word`,
-`invert_word`, `canonical_relator`, `sort_relators`, `expand_multiply`,
-`pack_state`, `unpack_state` and `expand_class`, the ones the library
-calls on its hot paths; `_kernel` picks one module at import time.  Keep
-the two implementations in lockstep.
+(`_kernel_c`) implements the six functions the library calls on its hot
+paths: `reduce_word`, `invert_word`, `canonical_relator`,
+`sort_relators`, `expand_multiply` and `expand_class`; `_kernel` picks
+one module for them at import time.  Keep the two implementations in
+lockstep.  The packed-state codec, `pack_state` and `unpack_state`, is
+defined here alone, and `_kernel` takes it from here on both backends.
 
 The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical
@@ -27,10 +28,11 @@ each relator in canonical order, one byte per letter equal to its key
 plus one (g_k -> 2k - 1, g_k^-1 -> 2k), then a 0 byte.  So a byte holds
 the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
 Byte order is key order, so comparing two relators' bytes compares
-their keys.  `_state_parts`, the one state reader, checks a packed state
-and splits it into relators for `unpack_state` and `expand_class`, which
-takes a packed class to its packed children: the strict-move children,
-then, in the extended regime, those of the generator basis changes.
+their keys.  `_state_parts`, the one state reader here, checks a packed
+state as the compiled `state_rank` does, and splits it into relators for
+`unpack_state` and `expand_class`, which takes a packed class to its
+packed children: the strict-move children, then, in the extended regime,
+those of the generator basis changes.
 
 Both functions that take a length bound read it through
 `operator.index`, as the compiled twin does through `PyNumber_Index`, so
@@ -200,17 +202,23 @@ def pack_state(rels):
 def _state_parts(state):
     """The packed relators of a packed state, without their 0 bytes.
     TypeError unless the state is bytes; ValueError unless it is empty or
-    ends with a 0 byte."""
+    ends with a 0 byte, or if a byte names a generator above
+    MAX_PACKED_GENERATOR, whose keys plus one would not fit in a byte."""
     if not isinstance(state, bytes):
         raise TypeError("a packed state must be bytes, got %r" % (state,))
     if state[-1:] not in (b"", b"\0"):
         raise ValueError("a packed state must end with a 0 byte")
+    top = max(state, default=0)
+    if top > 2 * MAX_PACKED_GENERATOR:
+        raise ValueError("packed state byte %d names a generator above %d"
+                         % (top, MAX_PACKED_GENERATOR))
     return state.split(b"\0")[:-1]
 
 
 def unpack_state(state):
     """Relators of a packed state, as letter tuples; inverse of pack_state.
-    ValueError unless the state is empty or ends with a 0 byte.
+    ValueError unless the state is empty or ends with a 0 byte, or if it
+    names a generator above MAX_PACKED_GENERATOR.
 
     >>> unpack_state(b'\\x01\\x00\\x04\\x01\\x00')
     ((1,), (-2, 1))

@@ -8,6 +8,12 @@ after 1255 states.  For n = 3 (L = 15, D = 8) the search reports
 "exhausted" when it stops at the depth cap, after 55 of the 82 classes
 of the length-15 class graph, without a trivialization; with no depth
 cap that graph runs out at 82 classes (see test_complete_n3_graph_at_15).
+Larger searches bound n = 3 further (rows n3-L19-D40 and n3-ext-L16-D60
+of bench/BENCH_2026-10-19.json): under this canonical form it has no
+trivialization through presentations of total length at most 19 under
+the strict moves (the whole graph, 16952456 classes, runs out at depth
+35), nor at most 16 with the generator basis changes added (5295080
+classes, depth 36).  Longer paths are not ruled out.
 The built-in n = 2 certificate is a second, hand-built route: its prefix
 changes the generator basis midway.
 """

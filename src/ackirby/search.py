@@ -13,9 +13,10 @@ into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
 A class is keyed by its packed state: the `bytes` string that
-`_kernel.pack_state` makes of its sorted canonical relators
-(presentations.canonical_form).  The visited table maps each key to its
-parent's key, and the search expands a class by one kernel call in
+`_kernel.pack_state`, pure Python on both backends, makes of its sorted
+canonical relators (presentations.canonical_form); the search packs only
+its start and the trivial classes.  The visited table maps each key to
+its parent's key, and the search expands a class by one kernel call in
 either regime, `_kernel.expand_class`, which returns its children
 packed: the strict-move children, then, in the extended regime, those of
 the basis changes, which it maps and canonicalizes in key space.  A

@@ -24,11 +24,12 @@ import sys
 import sysconfig
 import tracemalloc
 import zlib
+from array import array
 from itertools import repeat
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ackirby import _kernel
@@ -63,12 +64,12 @@ def canonical_words(max_size=10):
         lambda ls: pk.canonical_relator(tuple(ls)))
 
 
-def packable_classes(max_generator=130, max_size=8):
-    """Classes of 0-4 canonical relators in canonical order; above 127
-    a generator does not pack."""
+def packable_classes(max_size=8):
+    """Classes of 0-4 canonical relators in canonical order, in the
+    generators up to 127, the most a packed state holds."""
     letter = st.builds(lambda s, g: s * g, st.sampled_from((1, -1)), st.one_of(
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=max_generator)))
+        st.integers(min_value=1, max_value=pk.MAX_PACKED_GENERATOR)))
     words = st.lists(letter, max_size=max_size).map(lambda ls: pk.canonical_relator(tuple(ls)))
     return st.lists(words, max_size=4).map(pk.sort_relators)
 
@@ -187,8 +188,8 @@ class TestSelection:
         crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
         (tmp_path / "ackirby" / "_kernel_c.py").write_text(
             "from ackirby._kernel_py import (\n"
-            "    MAX_PACKED_GENERATOR, canonical_relator, expand_class, expand_multiply,\n"
-            "    invert_word, pack_state, reduce_word, sort_relators, unpack_state)\n"
+            "    canonical_relator, expand_class, expand_multiply, invert_word,\n"
+            "    reduce_word, sort_relators)\n"
             "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
         out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
         assert out.strip() == backend
@@ -246,17 +247,21 @@ class TestFunctionParity:
         assert list(want.items()) == list(got.items())
 
     @settings(max_examples=300, deadline=None)
-    @given(packable_classes())
-    def test_pack_state(self, ck, rels):
-        assert outcome(pk.pack_state, rels) == outcome(ck.pack_state, rels)
+    @given(st.one_of(st.binary(max_size=16), st.binary(max_size=16).map(lambda b: b + b"\0")),
+           st.integers(min_value=-2, max_value=24))
+    # a product of the 3-letter relator sorts before the other relator
+    # but not before itself, which it replaces
+    @example(b"\xf3YH\x00Y\x00", 7)
+    def test_expand_class_raw_state(self, ck, state, max_len):
+        """Both kernels read any bytes alike as a packed state, in both
+        regimes, including states whose relators are not canonical or not
+        in canonical order."""
+        for extended in (False, True):
+            assert outcome(pk.expand_class, state, max_len, extended) == \
+                outcome(ck.expand_class, state, max_len, extended)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.binary(max_size=16), st.binary(max_size=16).map(lambda b: b + b"\0")))
-    def test_unpack_state(self, ck, state):
-        assert outcome(pk.unpack_state, state) == outcome(ck.unpack_state, state)
-
-    @settings(max_examples=300, deadline=None)
-    @given(packable_classes(max_generator=127, max_size=7),
+    @given(packable_classes(max_size=7),
            st.integers(min_value=-2, max_value=24), st.booleans())
     def test_expand_class(self, ck, rels, max_len, extended):
         state = pk.pack_state(rels)
@@ -266,17 +271,21 @@ class TestFunctionParity:
 
 @needs_compiler
 @pytest.mark.parametrize(
-    "state", (b"\x01", b"\x01\x00\x03", bytearray(b"\x01\x00"), "x\x00"),
-    ids=("no_final_zero", "letters_after_zero", "bytearray", "str"))
-@pytest.mark.parametrize("call", (lambda k, s: k.unpack_state(s),
-                                  lambda k, s: k.expand_class(s, 5)),
+    "state", (b"\x01", b"\x01\x00\x03", bytearray(b"\x01\x00"), "x\x00",
+              b"\xff\x00", b"\x01\x00\xff\x00"),
+    ids=("no_final_zero", "letters_after_zero", "bytearray", "str",
+         "generator_128", "generator_128_second"))
+@pytest.mark.parametrize("read", (pk.unpack_state, lambda s: pk.expand_class(s, 6)),
                          ids=("unpack_state", "expand_class"))
-def test_malformed_state_fails_alike(ck, call, state):
-    """Both kernels reject a packed state that is not bytes, or does not
-    end with a 0 byte, with the same exception type and message."""
-    want = outcome(call, pk, state)
+def test_malformed_state_fails_alike(ck, read, state):
+    """The compiled state reader rejects a packed state that is not bytes,
+    does not end with a 0 byte, or names generator 128 (byte 255), with
+    the same exception type and message as each pure one: `unpack_state`,
+    the codec both backends share, and `expand_class`.  It does so in both
+    regimes."""
+    want = outcome(read, state)
     assert want[0] in (TypeError, ValueError)
-    assert outcome(call, ck, state) == want
+    assert outcome(ck.expand_class, state, 6) == outcome(ck.expand_class, state, 6, True) == want
 
 
 @needs_compiler
@@ -329,8 +338,7 @@ def test_compiled_kernel_rejects_out_of_range_letters(ck):
     calls = (lambda v: ck.canonical_relator((v, 1)),
              lambda v: ck.expand_multiply((v,), (1,)),
              lambda v: ck.expand_multiply((1,), (1, v)),
-             lambda v: ck.sort_relators([(1,), (1, v)]),
-             lambda v: ck.pack_state([(1,), (1, v)]))
+             lambda v: ck.sort_relators([(1,), (1, v)]))
     for call in calls:
         for v in (MAX_GENERATOR + 1, -MAX_GENERATOR - 1, 2**70):
             with pytest.raises(OverflowError):
@@ -360,8 +368,6 @@ def test_compiled_kernel_does_not_leak(ck):
         (ck.canonical_relator, ((b, a, -b, a, a),)),
         (ck.sort_relators, (rels,)),
         (ck.expand_multiply, (pk.canonical_relator((a, b)), (b,), 6)),
-        (ck.pack_state, ([(1, 2, -1), (3,), (1, 1, -2)],)),
-        (ck.unpack_state, (pk.pack_state([(1, 2, -1), (3,), (1, 1, -2)]),)),
         # a multiplication, the stabilization and a destabilization
         (ck.expand_class, (pk.pack_state([(1,), (2, 2)]), 4)),
         # and the basis changes, with a Nielsen move that cancels
@@ -370,7 +376,9 @@ def test_compiled_kernel_does_not_leak(ck):
     for fn, args in calls:
         watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
         fn(*args)
-        before = [sys.getrefcount(obj) for obj in watched]
+        # C integers: a list of counts would hold a reference to a small
+        # int it also counts, such as the bound 4
+        before = array("q", map(sys.getrefcount, watched))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -380,7 +388,7 @@ def test_compiled_kernel_does_not_leak(ck):
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert [sys.getrefcount(obj) for obj in watched] == before, fn.__name__
+        assert array("q", map(sys.getrefcount, watched)) == before, fn.__name__
         assert grown < LEAK_BOUND, (fn.__name__, grown)
 
 
@@ -401,6 +409,13 @@ SANITIZE_SNIPPET = """
 import importlib.util
 import random
 import sys
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
 
 
 def load(name, path):
@@ -435,12 +450,13 @@ for _ in range(int(sys.argv[4])):
     rels = pk.sort_relators([pk.canonical_relator(word(8, (1, 2, 3, 127)))
                              for _ in range(rng.randrange(5))])
     state = pk.pack_state(rels)
-    assert ck.pack_state(rels) == state and ck.unpack_state(state) == rels, rels
     b = rng.randrange(-2, 25)
     assert ck.expand_class(state, b) == pk.expand_class(state, b), (rels, b)
     assert ck.expand_class(state, b, True) == pk.expand_class(state, b, True), (rels, b)
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(12))) + b"\\0"
-    assert ck.unpack_state(raw) == pk.unpack_state(raw), raw
+    assert outcome(ck.expand_class, raw, b) == outcome(pk.expand_class, raw, b), (raw, b)
+    assert outcome(ck.expand_class, raw, b, True) == \\
+        outcome(pk.expand_class, raw, b, True), (raw, b)
 print("ok")
 """ % MAX_GENERATOR
 
@@ -450,7 +466,7 @@ print("ok")
 def test_compiled_kernel_under_sanitizers(tmp_path):
     """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
     and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
-    random calls of the eight functions without a sanitizer report.
+    random calls of its six functions without a sanitizer report.
     Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
     kernel's buffers are checked byte for byte; any report aborts the
     run."""
@@ -485,11 +501,16 @@ def _public_functions(module):
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
     re-exported by the selecting module, fails here; so does any function
-    beyond the eight hot-path ones."""
-    assert _public_functions(ck) == _public_functions(pk) == _public_functions(_kernel) == [
-        "canonical_relator", "expand_class", "expand_multiply", "invert_word",
-        "pack_state", "reduce_word", "sort_relators", "unpack_state"]
-    assert ck.MAX_PACKED_GENERATOR == pk.MAX_PACKED_GENERATOR == 127
+    beyond the six hot-path ones and the packed-state codec, which only
+    the pure kernel defines and `_kernel` takes from it on both
+    backends."""
+    hot = ["canonical_relator", "expand_class", "expand_multiply", "invert_word",
+           "reduce_word", "sort_relators"]
+    assert _public_functions(ck) == hot
+    assert _public_functions(pk) == _public_functions(_kernel) == \
+        sorted(hot + ["pack_state", "unpack_state"])
+    assert _kernel.pack_state is pk.pack_state and _kernel.unpack_state is pk.unpack_state
+    assert _kernel.MAX_PACKED_GENERATOR == ck.MAX_PACKED_GENERATOR == 127
 
 
 SEARCH_SNIPPET = """
@@ -545,7 +566,7 @@ def test_budget_zero_keeps_empty_child():
 
 
 @settings(max_examples=200, deadline=None)
-@given(packable_classes(max_generator=127))
+@given(packable_classes())
 def test_packed_state_round_trip(rels):
     state = _kernel.pack_state(rels)
     assert type(state) is bytes

@@ -7,15 +7,14 @@ results or benchmark.  A compiled module that lacks any of its six
 functions counts as absent, so a stale build falls back too, as does
 one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 
-The kernel is the eight functions the library calls: six on its hot
-paths, `reduce_word`, `invert_word`, `canonical_relator`,
-`sort_relators`, `expand_multiply` and `expand_class`, from the selected
-module, and the packed-state codec, `pack_state` and `unpack_state`,
-from `_kernel_py` on both backends, since a search calls it only a few
-times.  Both modules define the canonical relator order in
-`sort_relators`.  The packed class key, a `bytes` string, has its one
-writer and one reader in `pack_state` and `unpack_state`;
-`MAX_PACKED_GENERATOR` is the largest generator a key holds.
+The kernel is eight functions.  The six on the library's hot paths come
+from the selected module: `reduce_word`, `invert_word`,
+`canonical_relator`, `sort_relators`, `expand_multiply` and
+`expand_class`.  Both modules define the canonical relator order in
+`sort_relators`.  The packed-state codec, `pack_state` and
+`unpack_state`, which define the packed class key, a `bytes` string, is
+called only a few times per search and comes from `_kernel_py` on both
+backends, with `MAX_PACKED_GENERATOR`, the largest generator a key holds.
 `expand_class(state, max_len, extended=False)` takes a packed class to
 its packed children, one kernel call per search state in both regimes:
 the strict-move children (multiplications, the stabilization, the legal

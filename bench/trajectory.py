@@ -1,17 +1,22 @@
 """Trajectory rows: fixed `ackirby search` runs, each in a fresh process.
 
-    python bench/trajectory.py [--tree DIR] [--backend c|python ...]
+    python bench/trajectory.py [--tree DIR ...] [--backend c|python ...]
                                [--row NAME ...] [--out FILE]
 
 Each row runs `python -m ackirby.cli search ARGS --format json` with
 DIR/src on PYTHONPATH (DIR defaults to this checkout), on the compiled
 kernel (backend `c`; build it first with `python setup.py build_ext
 --inplace` in DIR) or on the pure-Python one (`ACKIRBY_PURE=1`).  Each
-row names the backends it runs on; --backend picks among those.  A row
-records the search's status, visited classes and depth reached, its wall
-time, the child's CPU time and peak RSS (`ru_maxrss`), the backend that
-actually ran, and the commit of DIR.  A speed claim is then a diff
-between two committed rows with equal status and visited counts.
+row names the backends it runs on; --backend picks among those.  With
+several --tree values, each row runs on every tree back to back, in the
+order given.  A row records the search's status, visited classes and
+depth reached, its wall time, the child's CPU time and peak RSS
+(`ru_maxrss`), the backend that actually ran, and the commit of DIR.
+
+A speed claim diffs rows from one invocation, for instance
+`--tree PARENT --tree CHANGE`, with equal status and visited counts.
+Rows taken at different times may differ by the speed of the host
+alone, which no row records.
 
 With --out the rows are appended to that JSON list (created if absent);
 without it they are printed, one JSON object a line.
@@ -114,27 +119,28 @@ def run_row(name, tree, backend, prefix):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--tree", type=Path, action="append",
+                        help="checkout whose src/ is run (repeatable; default: this one)")
     parser.add_argument("--backend", choices=BACKENDS, action="append",
                         help="kernel to run on (repeatable; default each of the row's)")
     parser.add_argument("--row", choices=sorted(ROWS), action="append",
                         help="row to run (repeatable; default all)")
     parser.add_argument("--out", type=Path, help="JSON list to append the rows to")
     args = parser.parse_args(argv)
-    tree = args.tree.resolve()
+    trees = [tree.resolve() for tree in args.tree or [ROOT]]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         prefix = Path(tmp) / "prefix.json"
         subprocess.run([sys.executable, "-m", "ackirby.cli", "family", "gersten",
                         "--prefix-only", "--cert-out", str(prefix)],
-                       env=_env(tree, "python"), check=True, capture_output=True)
+                       env=_env(trees[0], "python"), check=True, capture_output=True)
         for name in args.row or ROWS:
             for backend in [b for b in ROWS[name][1] if b in (args.backend or BACKENDS)]:
-                row = run_row(name, tree, backend, prefix)
-                rows.append(row)
-                print(json.dumps(row, sort_keys=True), flush=True,
-                      file=sys.stderr if args.out else sys.stdout)
+                for tree in trees:
+                    row = run_row(name, tree, backend, prefix)
+                    rows.append(row)
+                    print(json.dumps(row, sort_keys=True), flush=True,
+                          file=sys.stderr if args.out else sys.stdout)
     if args.out:
         old = json.loads(args.out.read_text()) if args.out.exists() else []
         args.out.write_text(json.dumps(old + rows, indent=1, sort_keys=True) + "\n")

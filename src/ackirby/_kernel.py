@@ -3,17 +3,17 @@
 The compiled kernel (`_kernel_c`, built from the hand-written
 `_kernel_c.c`) is preferred; the pure-Python twin (`_kernel_py`) is the
 fallback.  Set ACKIRBY_PURE=1 to force the fallback, e.g. to compare
-results or benchmark.  A compiled module that lacks any of its six
+results or benchmark.  A compiled module that lacks any of its five
 functions counts as absent, so a stale build falls back too, as does
 one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 
-The kernel is eight functions.  The six on the library's hot paths come
-from the selected module: `reduce_word`, `invert_word`,
-`canonical_relator`, `sort_relators`, `expand_multiply` and
-`expand_class`.  Both modules define the canonical relator order in
-`sort_relators`.  The packed-state codec, `pack_state` and
-`unpack_state`, which define the packed class key, a `bytes` string, is
-called only a few times per search and comes from `_kernel_py` on both
+The kernel is eight functions.  The five on the library's hot paths come
+from the selected module: `reduce_word`, `canonical_relator`,
+`sort_relators`, `expand_multiply` and `expand_class`.  Both modules
+define the canonical relator order in `sort_relators`.  `invert_word`,
+which is not hot, and the packed-state codec, `pack_state` and
+`unpack_state`, which define the packed class key, a `bytes` string, and
+are called only a few times per search, come from `_kernel_py` on both
 backends, with `MAX_PACKED_GENERATOR`, the largest generator a key holds.
 `expand_class(state, max_len, extended=False)` takes a packed class to
 its packed children, one kernel call per search state in both regimes:
@@ -42,14 +42,12 @@ try:
             if getattr(_kernel_c, "SOURCE_CRC32", None) != "%08x" % zlib.crc32(_fh.read()):
                 raise ImportError("_kernel_c was built from another _kernel_c.c")
     from ackirby._kernel_c import (
-        canonical_relator, expand_class, expand_multiply, invert_word, reduce_word,
-        sort_relators,
+        canonical_relator, expand_class, expand_multiply, reduce_word, sort_relators,
     )
     BACKEND = "c"
 except ImportError:
     from ackirby._kernel_py import (
-        canonical_relator, expand_class, expand_multiply, invert_word, reduce_word,
-        sort_relators,
+        canonical_relator, expand_class, expand_multiply, reduce_word, sort_relators,
     )
     BACKEND = "python"
-from ackirby._kernel_py import MAX_PACKED_GENERATOR, pack_state, unpack_state
+from ackirby._kernel_py import MAX_PACKED_GENERATOR, invert_word, pack_state, unpack_state

@@ -8,9 +8,9 @@
  * key fits in a C long even where that is 32 bits, and nothing wraps.
  * One boxer, box_word, builds every word tuple, decoding keys where asked.
  *
- * The module holds the six functions the library calls on its hot paths:
- * reduce_word, invert_word, canonical_relator, sort_relators,
- * expand_multiply and expand_class.  The packed-state codec (pack_state,
+ * The module holds the five functions the library calls on its hot paths:
+ * reduce_word, canonical_relator, sort_relators, expand_multiply and
+ * expand_class.  invert_word, the packed-state codec (pack_state,
  * unpack_state) and cold word operations are written once, in Python.
  *
  * setup.py passes this file's CRC-32 (8 hex digits) as SOURCE_CRC32, which
@@ -167,27 +167,6 @@ reduce_word(PyObject *self, PyObject *letters)
             w[top++] = w[i];
     }
     PyObject *out = box_word(w, top, 0);
-    PyMem_Free(w);
-    return out;
-}
-
-PyDoc_STRVAR(invert_word_doc,
-"invert_word(w)\n--\n\n"
-"Inverse of a reduced word (reverse and negate).");
-
-static PyObject *
-invert_word(PyObject *self, PyObject *word)
-{
-    Py_ssize_t n;
-    long *w = load_word(word, &n, 0);
-    if (w == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0, j = n - 1; i <= j; i++, j--) {
-        long v = w[i];
-        w[i] = -w[j];
-        w[j] = -v;
-    }
-    PyObject *out = box_word(w, n, 0);
     PyMem_Free(w);
     return out;
 }
@@ -691,7 +670,6 @@ done:
 
 static PyMethodDef kernel_methods[] = {
     {"reduce_word", reduce_word, METH_O, reduce_word_doc},
-    {"invert_word", invert_word, METH_O, invert_word_doc},
     {"canonical_relator", canonical_relator, METH_O, canonical_relator_doc},
     {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,

@@ -2,12 +2,13 @@
 
 Letters are nonzero signed integers: +k is the k-th generator, -k its
 inverse.  Words are tuples of letters.  The compiled twin of this module
-(`_kernel_c`) implements the six functions the library calls on its hot
-paths: `reduce_word`, `invert_word`, `canonical_relator`,
-`sort_relators`, `expand_multiply` and `expand_class`; `_kernel` picks
-one module for them at import time.  Keep the two implementations in
-lockstep.  The packed-state codec, `pack_state` and `unpack_state`, is
-defined here alone, and `_kernel` takes it from here on both backends.
+(`_kernel_c`) implements the five functions the library calls on its hot
+paths: `reduce_word`, `canonical_relator`, `sort_relators`,
+`expand_multiply` and `expand_class`; `_kernel` picks one module for
+them at import time.  Keep the two implementations in lockstep.
+`invert_word` and the packed-state codec, `pack_state` and
+`unpack_state`, are defined here alone, and `_kernel` takes them from
+here on both backends.
 
 The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical
@@ -95,7 +96,7 @@ def reduce_word(letters):
 
 def invert_word(w):
     """Inverse of a reduced word (reverse and negate)."""
-    return tuple(-v for v in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def _canonical(keys):

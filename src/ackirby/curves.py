@@ -63,7 +63,9 @@ class Slope:
         return hash(self.direction)
 
     def __lt__(self, other):
-        return self.direction < other.direction
+        if isinstance(other, Slope):
+            return self.direction < other.direction
+        return NotImplemented
 
     def __repr__(self):
         return "Slope(%d, %d)" % self.direction
@@ -93,7 +95,10 @@ class PunctureLabeling:
         self._labels = {pt: lab for lab, pt in self._points.items()}
 
     def point(self, label):
-        return self._points[label]
+        try:
+            return self._points[label]
+        except KeyError:
+            raise CurveError("no point labeled %r" % (label,)) from None
 
     def label(self, point):
         try:

@@ -188,8 +188,8 @@ class TestSelection:
         crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
         (tmp_path / "ackirby" / "_kernel_c.py").write_text(
             "from ackirby._kernel_py import (\n"
-            "    canonical_relator, expand_class, expand_multiply, invert_word,\n"
-            "    reduce_word, sort_relators)\n"
+            "    canonical_relator, expand_class, expand_multiply, reduce_word,\n"
+            "    sort_relators)\n"
             "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
         out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
         assert out.strip() == backend
@@ -215,11 +215,6 @@ class TestFunctionParity:
     @given(raw_words)
     def test_reduce_word(self, ck, w):
         assert pk.reduce_word(w) == ck.reduce_word(w)
-
-    @settings(max_examples=300, deadline=None)
-    @given(raw_words)
-    def test_invert_word(self, ck, w):
-        assert pk.invert_word(w) == ck.invert_word(w)
 
     @settings(max_examples=300, deadline=None)
     @given(raw_words)
@@ -364,7 +359,6 @@ def test_compiled_kernel_does_not_leak(ck):
     rels = [(a, b, -a), (c,), (a, a, -b), (c,)]
     calls = (
         (ck.reduce_word, ((a, b, -b, c, -a, a),)),
-        (ck.invert_word, ((a, b, -c),)),
         (ck.canonical_relator, ((b, a, -b, a, a),)),
         (ck.sort_relators, (rels,)),
         (ck.expand_multiply, (pk.canonical_relator((a, b)), (b,), 6)),
@@ -439,7 +433,6 @@ for _ in range(int(sys.argv[4])):
     w = word(25)
     r = pk.reduce_word(w)
     assert ck.reduce_word(w) == r, w
-    assert ck.invert_word(r) == pk.invert_word(r), r
     assert ck.canonical_relator(r) == pk.canonical_relator(r), r
     rels = [pk.reduce_word(word(9)) for _ in range(rng.randrange(5))]
     assert ck.sort_relators(rels) == pk.sort_relators(rels), rels
@@ -466,7 +459,7 @@ print("ok")
 def test_compiled_kernel_under_sanitizers(tmp_path):
     """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
     and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
-    random calls of its six functions without a sanitizer report.
+    random calls of its five functions without a sanitizer report.
     Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
     kernel's buffers are checked byte for byte; any report aborts the
     run."""
@@ -501,14 +494,15 @@ def _public_functions(module):
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
     re-exported by the selecting module, fails here; so does any function
-    beyond the six hot-path ones and the packed-state codec, which only
-    the pure kernel defines and `_kernel` takes from it on both
-    backends."""
-    hot = ["canonical_relator", "expand_class", "expand_multiply", "invert_word",
-           "reduce_word", "sort_relators"]
+    beyond the five hot-path ones, `invert_word` and the packed-state
+    codec, which only the pure kernel defines and `_kernel` takes from it
+    on both backends."""
+    hot = ["canonical_relator", "expand_class", "expand_multiply", "reduce_word",
+           "sort_relators"]
     assert _public_functions(ck) == hot
     assert _public_functions(pk) == _public_functions(_kernel) == \
-        sorted(hot + ["pack_state", "unpack_state"])
+        sorted(hot + ["invert_word", "pack_state", "unpack_state"])
+    assert _kernel.invert_word is pk.invert_word
     assert _kernel.pack_state is pk.pack_state and _kernel.unpack_state is pk.unpack_state
     assert _kernel.MAX_PACKED_GENERATOR == ck.MAX_PACKED_GENERATOR == 127
 

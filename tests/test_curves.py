@@ -92,6 +92,15 @@ class TestSlope:
         assert [s.direction for s in sorted(slopes)] == \
             [(0, 1), (1, -2), (1, 0)]
 
+    @pytest.mark.parametrize("other", [3, (1, 0), None])
+    def test_ordering_with_non_slope_is_type_error(self, other):
+        """Comparing a Slope with anything else is Python's TypeError, as
+        for other unorderable types, in either operand order."""
+        with pytest.raises(TypeError, match="not supported"):
+            Slope(1, 0) < other
+        with pytest.raises(TypeError, match="not supported"):
+            other > Slope(1, 0)
+
 
 class TestLabeling:
     def test_default(self):
@@ -124,6 +133,15 @@ class TestLabeling:
         with pytest.raises(CurveError):
             PunctureLabeling({"L1": (0, 0), "L2": (0, 0),
                               "R1": (1, 0), "R2": (0, 1)})
+
+    @pytest.mark.parametrize("label", ["X1", "l1", 1])
+    def test_unknown_label_rejected(self, label):
+        """point() rejects a label it does not have with CurveError, as
+        label() does for a point."""
+        with pytest.raises(CurveError, match="no point labeled"):
+            PunctureLabeling().point(label)
+        with pytest.raises(CurveError, match="no label at point"):
+            PunctureLabeling().label((2, 0))
 
     def test_foreign_point_rejected(self):
         with pytest.raises(CurveError):

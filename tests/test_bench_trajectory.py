@@ -37,9 +37,8 @@ def test_row_runs_and_records_its_search(tmp_path):
 @needs_git
 def test_main_runs_each_row_on_every_tree(tmp_path):
     out = tmp_path / "rows.json"
-    _load_trajectory().main(["--tree", str(ROOT), "--tree", str(ROOT / "src" / ".."),
-                             "--row", "n1-L15-D24", "--backend", "python",
-                             "--out", str(out)])
+    _load_trajectory().main(["--tree", str(ROOT)] * 2 + [
+        "--row", "n1-L15-D24", "--backend", "python", "--out", str(out)])
     rows = json.loads(out.read_text())
     assert [(r["row"], r["backend"], r["status"], r["visited"]) for r in rows] == \
         [("n1-L15-D24", "python", "found", 26565)] * 2

@@ -140,8 +140,6 @@ class TestLabeling:
         label() does for a point."""
         with pytest.raises(CurveError, match="no point labeled"):
             PunctureLabeling().point(label)
-        with pytest.raises(CurveError, match="no label at point"):
-            PunctureLabeling().label((2, 0))
 
     def test_foreign_point_rejected(self):
         with pytest.raises(CurveError):

@@ -280,7 +280,15 @@ typedef int (*product_sink)(void *ctx, const long *c, Py_ssize_t n,
 
 /* Every canonical product of a rotation of the ni keys at a with a
  * rotation of the nj keys at b or of their inverse, in witness order, into
- * sink.  Products whose core is longer than limit are skipped. */
+ * sink.  Products whose core is longer than limit are skipped.
+ *
+ * Most rotation pairs are skipped before their product is built.  Once
+ * the seam has cancelled t keys with t < m, neither factor is used up, so
+ * the product starts with u[0] and ends with v[nj - 1].  If those two are
+ * not inverse, its ends do not cancel cyclically and its core is all of
+ * its ni + nj - 2t keys; over limit, the check after the cyclic split
+ * would drop it anyway.  So the skip changes no child, witness or order,
+ * whether or not the words are cyclically reduced. */
 static int
 for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
                  Py_ssize_t limit, product_sink sink, void *ctx)
@@ -308,6 +316,8 @@ for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
                 Py_ssize_t t = 0, lw = 0, i = 0, j;
                 while (t < m && u[ni - 1 - t] == (v[t] ^ 1))
                     t++;
+                if (t < m && ni + nj - 2 * t > limit && u[0] != (v[nj - 1] ^ 1))
+                    continue;
                 for (Py_ssize_t k = 0; k < ni - t; k++)
                     w[lw++] = u[k];
                 for (Py_ssize_t k = t; k < nj; k++)

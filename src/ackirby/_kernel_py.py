@@ -18,7 +18,8 @@ loader; seam cancellation, the cyclic split and the comparison of
 rotations then run on key tuples with native tuple order, and only the
 result is decoded back into letters by `_decode`, the one key decoder.
 `expand_multiply` drops a product longer than its `max_len` budget right
-after the cyclic split, before any rotation is built or compared.
+after the cyclic split, before any rotation is built or compared, and
+most such products right after the seam, before they are built.
 
 `sort_relators` is the one definition of the canonical relator order:
 by length, then letter by letter in key order (x < X < y < Y < ...).
@@ -147,6 +148,8 @@ def _products(a, b, limit):
                 t = 0
                 while t < m and u[ni - 1 - t] == v[t] ^ 1:
                     t += 1
+                if t < m and ni + nj - 2 * t > limit and u[0] != v[nj - 1] ^ 1:
+                    continue    # over the budget, and the ends cannot cancel
                 w = u[:ni - t] + v[t:]
                 i, j = 0, len(w) - 1
                 while i < j and w[i] == w[j] ^ 1:
@@ -176,6 +179,15 @@ def expand_multiply(ci, cj, max_len=None):
     is the unbounded dict filtered to children of at most max_len letters.
     The rest are canonicalized on key tuples; each distinct child is
     decoded once.
+
+    Most products are dropped before they are built.  When the seam
+    cancels t letters and t is less than both lengths, the product starts
+    with the first letter of the rotation of ci and ends with the last
+    letter of the rotation of cj^eps.  If those two are not inverse, the
+    ends do not cancel cyclically, so the core is exactly
+    len(ci) + len(cj) - 2t letters long; when that exceeds max_len, the
+    cyclic split would drop the product anyway.  So the early skip changes
+    no child, witness or order, on any words, reduced or not.
     """
     a, b = _encode(ci), _encode(cj)
     limit = len(a) + len(b) if max_len is None else operator.index(max_len)

@@ -247,6 +247,11 @@ class TestFunctionParity:
     # a product of the 3-letter relator sorts before the other relator
     # but not before itself, which it replaces
     @example(b"\xf3YH\x00Y\x00", 7)
+    # relators Y and X Y Y y x, the second neither freely nor cyclically
+    # reduced: the early skip of over-budget products must read the ends
+    # of the raw rotations, both when the seam stops short and when it
+    # cancels all of the one-letter relator
+    @example(b"\x04\x00\x02\x04\x04\x03\x01\x00", 5)
     def test_expand_class_raw_state(self, ck, state, max_len):
         """Both kernels read any bytes alike as a packed state, in both
         regimes, including states whose relators are not canonical or not
@@ -534,6 +539,13 @@ class TestWholeSearchParity:
 
 @settings(max_examples=200, deadline=None)
 @given(canonical_words(8), canonical_words(8), st.integers(min_value=0, max_value=20))
+# the seam cancels all of x, then the ends of Y x y cancel: x . X Y x y -> x
+@example((1,), (1, 2, -1, -2), 1)
+# the seam cancels nothing and x y z X is over the budget, but its ends
+# cancel cyclically, so y z fits
+@example((1, 2), (1, -3), 2)
+# the seam cancels one letter and x y fills the budget exactly: x Z . z y
+@example((1, -3), (2, 3), 2)
 def test_budget_filters_unbounded_products(ci, cj, b):
     """A budget drops exactly the children longer than it, and keeps the
     witnesses and order of the rest."""

@@ -7,26 +7,14 @@ results or benchmark.  A compiled module that lacks any of its five
 functions counts as absent, so a stale build falls back too, as does
 one whose recorded `SOURCE_CRC32` is not that of a `_kernel_c.c` beside it.
 
-The kernel is eight functions.  The five on the library's hot paths come
-from the selected module: `reduce_word`, `canonical_relator`,
-`sort_relators`, `expand_multiply` and `expand_class`.  Both modules
-define the canonical relator order in `sort_relators`.  `invert_word`,
-which is not hot, and the packed-state codec, `pack_state` and
-`unpack_state`, which define the packed class key, a `bytes` string, and
-are called only a few times per search, come from `_kernel_py` on both
-backends, with `MAX_PACKED_GENERATOR`, the largest generator a key holds.
-`expand_class(state, max_len, extended=False)` takes a packed class to
-its packed children, one kernel call per search state in both regimes:
-the strict-move children (multiplications, the stabilization, the legal
-destabilizations), then, if `extended`, the generator basis changes in
-the order of `search._basis_changes` (g_i -> g_i g_j^(+-1), then
-g_i -> g_i^-1, then g_i <-> g_j for i < j), each mapped, freely reduced
-and canonicalized in key space.  Every distinct child comes once, at its
-first occurrence.  Both kernels apply the search's length budget in the
-product loop that `expand_multiply(ci, cj, max_len)` and `expand_class`
-share: a product whose cyclically reduced core is longer than its budget
-is dropped before it is canonicalized.  Both read a length bound as an
-integer (`operator.index`), so a bound that is not one fails alike.
+The kernel is eight functions, and this is the one list of where each
+comes from.  The five on the library's hot paths come from the selected
+module: `reduce_word`, `canonical_relator`, `sort_relators`,
+`expand_multiply` and `expand_class`.  `invert_word`, which is not hot,
+and the packed-state codec, `pack_state` and `unpack_state`, which a
+search calls only a few times, come from `_kernel_py` on both backends,
+with `MAX_PACKED_GENERATOR`, the largest generator a packed key holds.
+What every function computes is stated once, in `_kernel_py`.
 """
 
 import os

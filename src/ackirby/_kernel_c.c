@@ -1,41 +1,26 @@
-/* Compiled word kernel; mirrors _kernel_py exactly.
+/* Compiled word kernel, the twin of _kernel_py.  Which functions it holds
+ * is listed in _kernel.py alone; what they compute (key space, the packed
+ * format, the length budget, the early skip, how bounds are read) is
+ * stated in _kernel_py alone.  This comment says only how this file works.
  *
- * Words are Python sequences of nonzero signed integers: +k is the k-th
- * generator, -k its inverse.  Each function loads its words into C long
- * buffers, runs on those, and boxes only its results into tuples.  One
- * loader, load_word, reads every letter; it rejects letters beyond
- * MAX_GENERATOR (2**30, as in ackirby.words) with OverflowError, so every
- * key fits in a C long even where that is 32 bits, and nothing wraps.
- * One boxer, box_word, builds every word tuple, decoding keys where asked.
- *
- * The module holds the five functions the library calls on its hot paths:
- * reduce_word, canonical_relator, sort_relators, expand_multiply and
- * expand_class.  invert_word, the packed-state codec (pack_state,
- * unpack_state) and cold word operations are written once, in Python.
+ * Each function loads its words into C long buffers, runs on those, and
+ * boxes only its results into tuples.  One loader, load_word, reads every
+ * letter; it rejects letters beyond MAX_GENERATOR (2**30, as in
+ * ackirby.words) with OverflowError, so every key fits in a C long even
+ * where that is 32 bits, and nothing wraps.  One boxer, box_word, builds
+ * every word tuple, decoding keys where asked.  One splitter, cyclic_core,
+ * finds every cyclically reduced core, and one comparison, keys_less,
+ * orders every two key sequences.
  *
  * setup.py passes this file's CRC-32 (8 hex digits) as SOURCE_CRC32, which
  * the module exposes, so that ackirby._kernel can tell a stale build.
  *
- * The canonicalizing functions work in key space, as _kernel_py does: the
- * key of a letter orders g1 < g1^-1 < g2 < g2^-1 < ..., so the canonical
- * letter order is integer order and the inverse of key k is k ^ 1.
- * sort_relators is the one definition of the canonical relator order
- * (length, then keys); it compares key buffers and boxes nothing but its
- * result tuple.
- *
- * A packed state (see _kernel_py.pack_state) holds, for each relator in
- * canonical order, its keys plus one as bytes, then a 0 byte; generators
- * above MAX_PACKED_GENERATOR do not fit.  One reader, state_rank, checks a
- * packed state as _kernel_py._state_parts does and counts its relators for
- * expand_class, which reads a packed class and writes its children packed,
- * through the product loop that expand_multiply uses, and in the extended
- * regime through add_basis_child, which maps, reduces, canonicalizes and
- * sorts the relators of one generator basis change in key space.  Like
- * its twin, it collects the children in one dict, setting each child only
- * at its first occurrence, and returns the dict's keys, which keep that
- * order.  One reader, load_bound, takes the length bound of
- * expand_multiply and expand_class through PyNumber_Index, as the twin
- * does through operator.index.
+ * One reader, state_rank, checks a packed state as _kernel_py._state_parts
+ * does and counts its relators for expand_class, which writes its children
+ * packed through the product loop that expand_multiply uses and, in the
+ * extended regime, through add_basis_child; like its twin it collects
+ * them as the keys of one dict, in first-occurrence order.  One reader,
+ * load_bound, takes every length bound through PyNumber_Index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -121,6 +106,20 @@ keys_less(const long *a, const long *b, Py_ssize_t n)
     return 0;
 }
 
+/* Start of the cyclically reduced core of the n keys at w; its length
+ * goes to *len (0 if the core is empty). */
+static Py_ssize_t
+cyclic_core(const long *w, Py_ssize_t n, Py_ssize_t *len)
+{
+    Py_ssize_t i = 0, j = n - 1;
+    while (i < j && w[i] == (w[j] ^ 1)) {
+        i++;
+        j--;
+    }
+    *len = j - i + 1;
+    return i;
+}
+
 /* Least rotation of the n > 0 keys at c or of their inverse.  buf holds
  * 4n longs: both words are written twice over, so rotation s starts at
  * offset s, and the result points into buf.  Only rotations that start at
@@ -178,17 +177,11 @@ PyDoc_STRVAR(canonical_relator_doc,
 static PyObject *
 canonical_relator(PyObject *self, PyObject *word)
 {
-    Py_ssize_t n, i = 0;
+    Py_ssize_t n;
     long *w = load_word(word, &n, 1);
     if (w == NULL)
         return NULL;
-    /* the cyclically reduced core is w[i..j] */
-    Py_ssize_t j = n - 1;
-    while (i < j && w[i] == (w[j] ^ 1)) {
-        i++;
-        j--;
-    }
-    n = j - i + 1;
+    Py_ssize_t i = cyclic_core(w, n, &n);
     long *rot = PyMem_New(long, 4 * n + 1);
     PyObject *out;
     if (rot == NULL)
@@ -280,15 +273,9 @@ typedef int (*product_sink)(void *ctx, const long *c, Py_ssize_t n,
 
 /* Every canonical product of a rotation of the ni keys at a with a
  * rotation of the nj keys at b or of their inverse, in witness order, into
- * sink.  Products whose core is longer than limit are skipped.
- *
- * Most rotation pairs are skipped before their product is built.  Once
- * the seam has cancelled t keys with t < m, neither factor is used up, so
- * the product starts with u[0] and ends with v[nj - 1].  If those two are
- * not inverse, its ends do not cancel cyclically and its core is all of
- * its ni + nj - 2t keys; over limit, the check after the cyclic split
- * would drop it anyway.  So the skip changes no child, witness or order,
- * whether or not the words are cyclically reduced. */
+ * sink.  Products whose core is longer than limit are skipped, most of
+ * them before they are built, by the early skip of
+ * _kernel_py.expand_multiply, which states why it changes nothing. */
 static int
 for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
                  Py_ssize_t limit, product_sink sink, void *ctx)
@@ -313,7 +300,7 @@ for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
         for (int e = 0; e < 2; e++) {
             for (Py_ssize_t q = 0; q < nq; q++) {
                 const long *v = bs[e] + q;
-                Py_ssize_t t = 0, lw = 0, i = 0, j;
+                Py_ssize_t t = 0, lw = 0, n;
                 while (t < m && u[ni - 1 - t] == (v[t] ^ 1))
                     t++;
                 if (t < m && ni + nj - 2 * t > limit && u[0] != (v[nj - 1] ^ 1))
@@ -322,12 +309,7 @@ for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
                     w[lw++] = u[k];
                 for (Py_ssize_t k = t; k < nj; k++)
                     w[lw++] = v[k];
-                j = lw - 1;
-                while (i < j && w[i] == (w[j] ^ 1)) {
-                    i++;
-                    j--;
-                }
-                Py_ssize_t n = j - i + 1;
+                Py_ssize_t i = cyclic_core(w, lw, &n);
                 if (n > limit)
                     continue;
                 if (sink(ctx, n ? least_rotation(w + i, n, rot) : w, n,
@@ -425,13 +407,16 @@ state_rank(PyObject *state)
     return rank;
 }
 
-/* A packed class being expanded: its bytes, rank and total length, the
- * start and length of each relator there, the relator a product replaces
- * (-1: none), the buffer a child is packed into, and the children so far,
- * as the keys of a dict in first-occurrence order. */
+/* A packed class being expanded: its bytes, rank and total length, its
+ * relators' keys at the offsets of their bytes, the start and length of
+ * each relator there, the relator a product replaces (-1: none), the
+ * buffer a child is packed into, and the children so far, as the keys of
+ * a dict in first-occurrence order. */
 typedef struct {
     const unsigned char *s;
-    Py_ssize_t rank, total, *start, *len, skip;
+    Py_ssize_t rank, total;
+    long *keys;
+    Py_ssize_t *start, *len, skip;
     unsigned char *out;
     PyObject *children;
 } class_ctx;
@@ -452,11 +437,7 @@ relator_after(const class_ctx *x, Py_ssize_t r, const long *c, Py_ssize_t n)
 {
     if (x->len[r] != n)
         return x->len[r] > n;
-    const unsigned char *b = x->s + x->start[r];
-    for (Py_ssize_t k = 0; k < n; k++)
-        if (b[k] != c[k] + 1)
-            return b[k] > c[k] + 1;
-    return 0;
+    return keys_less(c, x->keys + x->start[r], n);
 }
 
 /* The sink of expand_class: packs the class's relators but x->skip, with
@@ -522,11 +503,11 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
     Py_ssize_t n = 0;    /* the child's total length so far */
     long *w = work + 2 * x->total, *rot = work + 4 * x->total;
     for (Py_ssize_t r = 0; r < x->rank; r++) {
-        const unsigned char *b = x->s + x->start[r];
-        Py_ssize_t top = 0, i = 0, j;
+        const long *b = x->keys + x->start[r];
+        Py_ssize_t top = 0;
         /* the image, reduced by a stack pass */
         for (Py_ssize_t t = 0; t < x->len[r]; t++) {
-            long k = b[t] - 1, g = k >> 1;
+            long k = b[t], g = k >> 1;
             for (int d = 0; d < m->len[g]; d++) {
                 long y = k & 1 ? m->img[g][m->len[g] - 1 - d] ^ 1 : m->img[g][d];
                 if (top > 0 && w[top - 1] == (y ^ 1))
@@ -535,12 +516,9 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
                     w[top++] = y;
             }
         }
-        /* its cyclically reduced core is w[i..j] */
-        for (j = top - 1; i < j && w[i] == (w[j] ^ 1); i++, j--)
-            ;
         e[r].obj = NULL;
         e[r].keys = work + n;
-        e[r].len = j - i + 1;
+        Py_ssize_t i = cyclic_core(w, top, &e[r].len);
         if (e[r].len)
             memcpy(e[r].keys, least_rotation(w + i, e[r].len, rot), e[r].len * sizeof(long));
         n += e[r].len;
@@ -588,14 +566,14 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank, size - rank};
     PyObject *out = NULL;
     x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
-    long *keys = PyMem_New(long, size + 1);
+    x.keys = PyMem_New(long, size + 1);
     long *work = extended ? PyMem_New(long, 12 * x.total + 1) : NULL;
     relator_entry *e = extended ? PyMem_New(relator_entry, rank + 1) : NULL;
     x.out = PyMem_Malloc(2 * size + 3);
     x.children = PyDict_New();
     if (x.children == NULL)
         goto done;
-    if (x.start == NULL || keys == NULL || x.out == NULL
+    if (x.start == NULL || x.keys == NULL || x.out == NULL
         || (extended && (work == NULL || e == NULL))) {
         PyErr_NoMemory();
         goto done;
@@ -603,7 +581,7 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     x.len = x.start + rank;
     for (Py_ssize_t r = 0, t = 0; r < rank; r++) {
         for (x.start[r] = t; x.s[t]; t++)
-            keys[t] = (long)x.s[t] - 1;
+            x.keys[t] = (long)x.s[t] - 1;
         x.len[r] = t++ - x.start[r];
     }
 
@@ -611,7 +589,7 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_ssize_t ni = x.len[x.skip], budget = max_len - (x.total - ni);
         for (Py_ssize_t j = 0; j < rank; j++)
             if (j != x.skip && x.len[j] > 0 &&
-                for_each_product(keys + x.start[x.skip], ni, keys + x.start[j], x.len[j],
+                for_each_product(x.keys + x.start[x.skip], ni, x.keys + x.start[j], x.len[j],
                                  budget, class_sink, &x) < 0)
                 goto done;
     }
@@ -671,7 +649,7 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 done:
     Py_XDECREF(x.children);
     PyMem_Free(x.start);
-    PyMem_Free(keys);
+    PyMem_Free(x.keys);
     PyMem_Free(work);
     PyMem_Free(e);
     PyMem_Free(x.out);

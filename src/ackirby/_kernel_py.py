@@ -1,14 +1,10 @@
 """Pure-Python word kernel.
 
 Letters are nonzero signed integers: +k is the k-th generator, -k its
-inverse.  Words are tuples of letters.  The compiled twin of this module
-(`_kernel_c`) implements the five functions the library calls on its hot
-paths: `reduce_word`, `canonical_relator`, `sort_relators`,
-`expand_multiply` and `expand_class`; `_kernel` picks one module for
-them at import time.  Keep the two implementations in lockstep.
-`invert_word` and the packed-state codec, `pack_state` and
-`unpack_state`, are defined here alone, and `_kernel` takes them from
-here on both backends.
+inverse.  Words are tuples of letters.  This module is the one statement
+of what the kernel computes; `_kernel` lists which of its functions the
+compiled twin (`_kernel_c`) also implements, and picks a module for
+those at import time.  Keep the two implementations in lockstep.
 
 The canonicalizing functions work in key space.  `_letter_key` maps the
 letters one-to-one onto the nonnegative integers, so that the canonical

@@ -17,8 +17,6 @@ puts the L-points at (0,0) and (1,1).
 from math import gcd
 
 POINTS = ((0, 0), (1, 0), (0, 1), (1, 1))
-L_LABELS = ("L1", "L2")
-R_LABELS = ("R1", "R2")
 WEIGHTS = {"L1": 1, "L2": 1, "R1": -1, "R2": -1}
 
 DEFAULT_LABELING = {"L1": (0, 0), "L2": (1, 1), "R1": (1, 0), "R2": (0, 1)}

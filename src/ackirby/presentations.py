@@ -15,10 +15,9 @@ Every atomic move is defined once, in atomic_move, on relator letter
 tuples whose number is the rank; the generator-level moves are generator
 maps applied by words.map_generators.  apply_move, the search's
 successors (search._successors) and certificate expansion all call it.
-The search itself expands packed classes with the kernel's
-`expand_class`, which applies the strict moves and, in the extended
-regime, the generator basis changes to packed keys; tests hold it to the
-children of `_successors` in both regimes.
+The search itself expands packed classes with `_kernel.expand_class`
+(see `_kernel_py`); tests hold it to the children of `_successors` in
+both regimes.
 """
 
 from dataclasses import dataclass
@@ -209,7 +208,6 @@ def atomic_move(relators, move):
     ((1,), (-2,))
     """
     rank = len(relators)
-    # generator-level moves first: the search calls them most
     if isinstance(move, Destabilize):
         i = move.i
         _check_index(rank, i)

@@ -13,29 +13,25 @@ into a legal sequence of atomic moves, so certificates always replay
 move by move.
 
 A class is keyed by its packed state: the `bytes` string that
-`_kernel.pack_state`, pure Python on both backends, makes of its sorted
-canonical relators (presentations.canonical_form); the search packs only
-its start and the trivial classes.  The visited table maps each key to
-its parent's key, and the search expands a class by one kernel call in
-either regime, `_kernel.expand_class`, which returns its children
-packed: the strict-move children, then, in the extended regime, those of
-the basis changes, which it maps and canonicalizes in key space.  A
-start of rank r searched within total length L reaches no generator
-above r + L, so `_validate_config` requires r + L <= 127, the most a
-packed key holds.
+`_kernel.pack_state` makes of its sorted canonical relators
+(presentations.canonical_form); the search packs only its start and the
+trivial classes.  The visited table maps each key to its parent's key,
+and the search expands a class by one kernel call in either regime,
+`_kernel.expand_class`, which returns its children packed; `_kernel`
+says which kernel functions are compiled and `_kernel_py` what they
+compute.  A start of rank r searched within total length L reaches no
+generator above r + L, so `_validate_config` requires r + L <= 127, the
+most a packed key holds.
 
 Only the path to a trivial class needs its edges.  Certificate
 expansion unpacks the classes on that path and re-derives each edge from
 the parent's successors (`_successors`).  The multiplication edges are
-built there (the products by `_kernel.expand_multiply`, which also drops
-every product longer than the relator's share of max_total_length
-before it canonicalizes it).  Every other edge is ("move", m), made by
-one rule, `_move_edges`: for each given atomic move m it applies
-presentations.atomic_move, the one definition of each atomic move that
-apply_move replays, skips m where atomic_move rejects it, and keeps the
-canonical child if it fits max_len.  `_successors` gives it the
-stabilization and the destabilization of each single-letter relator
-(plus the basis changes in the extended regime), so a class edge and
+built there, the products by `_kernel.expand_multiply`.  Every other
+edge is ("move", m): the stabilization, the destabilization of each
+single-letter relator and, in the extended regime, the basis changes,
+each applied by presentations.atomic_move, the one definition of each
+atomic move that apply_move replays, skipped where atomic_move rejects
+it, and kept if its canonical child fits max_len.  So a class edge and
 its atomic moves cannot drift apart.  `expand_class` yields the
 children of `_successors` in the same order, each once, in both
 regimes; tests check the two against each other and against the naive
@@ -45,7 +41,6 @@ Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
 """
 
-import functools
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -151,7 +146,6 @@ def verify(cert, trace=False):
 # ---------------------------------------------------------------------------
 # Class states
 
-@functools.lru_cache(maxsize=None)
 def _basis_changes(rank):
     """The extended regime's generator basis changes at a rank, in
     enumeration order, which `_kernel.expand_class` follows too."""
@@ -159,20 +153,7 @@ def _basis_changes(rank):
     moves = [NielsenGenerator(i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
     moves += [InvertGenerator(i) for i in gens]
     moves += [SwapGenerators(i, j) for i in gens for j in gens if i < j]
-    return tuple(moves)
-
-
-def _move_edges(rels, max_len, moves):
-    """The (move, child class) pairs of the atomic moves, in the given
-    order, that apply to the class `rels` and keep it within max_len."""
-    for move in moves:
-        try:
-            child = atomic_move(rels, move)
-        except MoveError:
-            continue
-        child = _kernel.sort_relators(map(_kernel.canonical_relator, child))
-        if sum(map(len, child)) <= max_len:
-            yield move, child
+    return moves
 
 
 def _successors(rels, max_len, regime):
@@ -199,11 +180,19 @@ def _successors(rels, max_len, regime):
                             sort_relators(head + (child_rel,) + tail)))
 
     # stabilize, then destabilize each single-letter relator whose
-    # generator occurs in no other relator (atomic_move rejects the rest)
+    # generator occurs in no other relator (atomic_move rejects the rest),
+    # then the basis changes; keep each child within max_len
     moves = [Stabilize()] + [Destabilize(i) for i in range(1, rank + 1) if len(rels[i - 1]) == 1]
     if regime == "extended":
         moves += _basis_changes(rank)
-    out += [(("move", move), child) for move, child in _move_edges(rels, max_len, moves)]
+    for move in moves:
+        try:
+            child = atomic_move(rels, move)
+        except MoveError:
+            continue
+        child = sort_relators(map(_kernel.canonical_relator, child))
+        if sum(map(len, child)) <= max_len:
+            out.append((("move", move), child))
     return out
 
 

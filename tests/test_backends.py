@@ -218,6 +218,12 @@ class TestFunctionParity:
 
     @settings(max_examples=300, deadline=None)
     @given(raw_words)
+    # the cyclic split at its bounds: no letters, one letter, a core that
+    # empties, and a one-letter conjugator
+    @example(())
+    @example((1,))
+    @example((1, 2, -2, -1))
+    @example((2, 1, 3, -2))
     def test_canonical_relator(self, ck, w):
         assert pk.canonical_relator(w) == ck.canonical_relator(w)
 
@@ -263,6 +269,9 @@ class TestFunctionParity:
     @settings(max_examples=300, deadline=None)
     @given(packable_classes(max_size=7),
            st.integers(min_value=-2, max_value=24), st.booleans())
+    # products x y, x Y and x z tie in length with the kept relator x Y
+    # and sort before it, equal to it and after it by keys
+    @example(((1,), (2,), (3,), (1, -2)), 6, False)
     def test_expand_class(self, ck, rels, max_len, extended):
         state = pk.pack_state(rels)
         assert pk.expand_class(state, max_len, extended) == \

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from ackirby.curves import (
     DEFAULT_LABELING,
-    L_LABELS,
     POINTS,
-    R_LABELS,
     CurveError,
     PunctureLabeling,
     Slope,
@@ -114,8 +112,6 @@ class TestLabeling:
     def test_default_constant_matches(self):
         assert DEFAULT_LABELING == {"L1": (0, 0), "L2": (1, 1),
                                     "R1": (1, 0), "R2": (0, 1)}
-        assert set(L_LABELS) == {"L1", "L2"}
-        assert set(R_LABELS) == {"R1", "R2"}
 
     def test_points_constant(self):
         assert set(POINTS) == {(0, 0), (1, 0), (0, 1), (1, 1)}

@@ -296,13 +296,13 @@ class TestDeterminism:
 
     def test_extended_search_expands_packed_classes(self, monkeypatch):
         """The extended search expands each class by one kernel call: it
-        neither unpacks a class nor makes basis-change edges in Python.
+        neither unpacks a class nor applies an atomic move in Python.
         Only the expansion of a found certificate does, and this search
         finds none."""
         def refuse(*args):
             raise AssertionError("called while expanding a class")
 
-        monkeypatch.setattr(search_module, "_move_edges", refuse)
+        monkeypatch.setattr(search_module, "atomic_move", refuse)
         monkeypatch.setattr(search_module._kernel, "unpack_state", refuse)
         out = search(presentation_Ln1(2), cfg(12, 5, move_regime="extended"))
         start = [r.letters for r in presentation_Ln1(2).relators]

@@ -16,11 +16,13 @@
  * the module exposes, so that ackirby._kernel can tell a stale build.
  *
  * One reader, state_rank, checks a packed state as _kernel_py._state_parts
- * does and counts its relators for expand_class, which writes its children
- * packed through the product loop that expand_multiply uses and, in the
- * extended regime, through add_basis_child; like its twin it collects
- * them as the keys of one dict, in first-occurrence order.  One reader,
- * load_bound, takes every length bound through PyNumber_Index.
+ * does and counts its relators for expand_into, the one enumeration of a
+ * class's children, which writes them packed through the product loop that
+ * expand_multiply uses and, in the extended regime, through
+ * add_basis_child.  One sink, add_child, puts each into a child_table:
+ * expand_class gives each class an empty one, expand_level the caller's
+ * visited dict for a whole level.  One reader, load_bound, takes every
+ * length bound and capacity through PyNumber_Index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -407,28 +409,47 @@ state_rank(PyObject *state)
     return rank;
 }
 
+/* Where a class's children go.  A child that is not yet a key of the dict
+ * `visited` is set there, with `parent` as its value, and appended to the
+ * list `fresh`, unless the dict already holds `capacity` keys; then `full`
+ * is set, and no child is added after that. */
+typedef struct {
+    PyObject *visited, *parent, *fresh;
+    Py_ssize_t capacity;
+    int full;
+} child_table;
+
 /* A packed class being expanded: its bytes, rank and total length, its
  * relators' keys at the offsets of their bytes, the start and length of
  * each relator there, the relator a product replaces (-1: none), the
- * buffer a child is packed into, and the children so far, as the keys of
- * a dict in first-occurrence order. */
+ * buffer a child is packed into, and the table its children go to. */
 typedef struct {
     const unsigned char *s;
     Py_ssize_t rank, total;
     long *keys;
     Py_ssize_t *start, *len, skip;
     unsigned char *out;
-    PyObject *children;
+    child_table *table;
 } class_ctx;
 
-/* Adds the packed child in x->out[0..size) unless it is already there. */
+/* Adds the packed child in x->out[0..size) to the class's table. */
 static int
 add_child(class_ctx *x, Py_ssize_t size)
 {
+    child_table *t = x->table;
+    if (t->full)
+        return 0;
     PyObject *child = PyBytes_FromStringAndSize((const char *)x->out, size);
-    int ok = child != NULL && PyDict_SetDefault(x->children, child, Py_None) != NULL;
-    Py_XDECREF(child);
-    return ok ? 0 : -1;
+    if (child == NULL)
+        return -1;
+    int seen = PyDict_Contains(t->visited, child);
+    if (seen == 0 && PyDict_GET_SIZE(t->visited) >= t->capacity)
+        t->full = 1;
+    else if (seen == 0 && (PyDict_SetItem(t->visited, child, t->parent) < 0
+                           || PyList_Append(t->fresh, child) < 0))
+        seen = -1;
+    Py_DECREF(child);
+    return seen < 0 ? -1 : 0;
 }
 
 /* Whether relator r of the class sorts after the n keys at c. */
@@ -535,54 +556,50 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
     return add_child(x, size);
 }
 
-PyDoc_STRVAR(expand_class_doc,
-"expand_class(state, max_len, extended=False, /)\n--\n\n"
-"Packed child classes of a packed class under the strict moves, then,\n"
-"if extended, under the generator basis changes in the order of\n"
-"search._basis_changes, within total length max_len, each once, in\n"
-"first-occurrence order; see _kernel_py.expand_class.");
-
-/* Positional arguments only (METH_FASTCALL), so that the search's call
- * per state builds no argument tuple. */
-static PyObject *
-expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* Adds the children of the packed class `state` to the table t, in the
+ * order of _kernel_py.expand_class: the one enumeration of a class's
+ * children, behind both expand_class and expand_level.  Its twin makes
+ * all of a class's children before it returns any, so the state and the
+ * generators its children would name are checked before the first child
+ * is added. */
+static int
+expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
 {
-    int extended = 0;
-    Py_ssize_t max_len, rank;
-    if (nargs < 2 || nargs > 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "expand_class() takes from 2 to 3 positional arguments but %zd were given",
-                     nargs);
-        return NULL;
-    }
-    PyObject *state = args[0];
-    if ((nargs == 3 && (extended = PyObject_IsTrue(args[2])) < 0)
-        || load_bound(args[1], &max_len) < 0 || (rank = state_rank(state)) < 0)
-        return NULL;
+    Py_ssize_t rank = state_rank(state);
+    if (rank < 0)
+        return -1;
+    Py_ssize_t size = PyBytes_GET_SIZE(state);
     /* any negative bound admits the same children; -1 keeps budgets from wrapping */
     if (max_len < -1)
         max_len = -1;
-    Py_ssize_t size = PyBytes_GET_SIZE(state);
+    if (size - rank + 1 <= max_len && rank >= MAX_PACKED_GENERATOR) {
+        PyErr_Format(PyExc_OverflowError, "stabilizing adds generator %zd, above %d",
+                     rank + 1, MAX_PACKED_GENERATOR);
+        return -1;
+    }
+    if (extended && rank > MAX_PACKED_GENERATOR) {
+        PyErr_Format(PyExc_OverflowError, "basis changes at rank %zd name generators above %d",
+                     rank, MAX_PACKED_GENERATOR);
+        return -1;
+    }
     class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank, size - rank};
-    PyObject *out = NULL;
+    int ok = 0;
+    x.table = t;
     x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
     x.keys = PyMem_New(long, size + 1);
     long *work = extended ? PyMem_New(long, 12 * x.total + 1) : NULL;
     relator_entry *e = extended ? PyMem_New(relator_entry, rank + 1) : NULL;
     x.out = PyMem_Malloc(2 * size + 3);
-    x.children = PyDict_New();
-    if (x.children == NULL)
-        goto done;
     if (x.start == NULL || x.keys == NULL || x.out == NULL
         || (extended && (work == NULL || e == NULL))) {
         PyErr_NoMemory();
         goto done;
     }
     x.len = x.start + rank;
-    for (Py_ssize_t r = 0, t = 0; r < rank; r++) {
-        for (x.start[r] = t; x.s[t]; t++)
-            x.keys[t] = (long)x.s[t] - 1;
-        x.len[r] = t++ - x.start[r];
+    for (Py_ssize_t r = 0, i = 0; r < rank; r++) {
+        for (x.start[r] = i; x.s[i]; i++)
+            x.keys[i] = (long)x.s[i] - 1;
+        x.len[r] = i++ - x.start[r];
     }
 
     for (x.skip = 0; x.skip < rank; x.skip++) {
@@ -594,11 +611,6 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 goto done;
     }
     if (x.total + 1 <= max_len) {
-        if (rank >= MAX_PACKED_GENERATOR) {
-            PyErr_Format(PyExc_OverflowError, "stabilizing adds generator %zd, above %d",
-                         rank + 1, MAX_PACKED_GENERATOR);
-            goto done;
-        }
         long key = 2 * (long)rank;
         x.skip = -1;
         if (class_sink(&x, &key, 1, 0, 0, 0) < 0)
@@ -608,12 +620,6 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
             goto done;
     if (extended) {
-        if (rank > MAX_PACKED_GENERATOR) {
-            PyErr_Format(PyExc_OverflowError,
-                         "basis changes at rank %zd name generators above %d",
-                         rank, MAX_PACKED_GENERATOR);
-            goto done;
-        }
         /* each change is set on the identity and undone after its child */
         basis_change m;
         for (long g = 0; g <= MAX_PACKED_GENERATOR; g++) {
@@ -645,14 +651,92 @@ expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 m.img[j][0] = 2 * j;
             }
     }
-    out = PyDict_Keys(x.children);
+    ok = 1;
 done:
-    Py_XDECREF(x.children);
     PyMem_Free(x.start);
     PyMem_Free(x.keys);
     PyMem_Free(work);
     PyMem_Free(e);
     PyMem_Free(x.out);
+    return ok ? 0 : -1;
+}
+
+PyDoc_STRVAR(expand_class_doc,
+"expand_class(state, max_len, extended=False, /)\n--\n\n"
+"Packed child classes of a packed class under the strict moves, then,\n"
+"if extended, under the generator basis changes in the order of\n"
+"search._basis_changes, within total length max_len, each once, in\n"
+"first-occurrence order; see _kernel_py.expand_class.");
+
+/* Positional arguments only (METH_FASTCALL), like expand_level.  The
+ * children are the fresh ones of an empty table that is never full. */
+static PyObject *
+expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int extended = 0;
+    Py_ssize_t max_len;
+    if (nargs < 2 || nargs > 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "expand_class() takes from 2 to 3 positional arguments but %zd were given",
+                     nargs);
+        return NULL;
+    }
+    if ((nargs == 3 && (extended = PyObject_IsTrue(args[2])) < 0)
+        || load_bound(args[1], &max_len) < 0)
+        return NULL;
+    child_table t = {PyDict_New(), Py_None, PyList_New(0), PY_SSIZE_T_MAX, 0};
+    if (t.visited == NULL || t.fresh == NULL || expand_into(args[0], max_len, extended, &t) < 0)
+        Py_CLEAR(t.fresh);
+    Py_XDECREF(t.visited);
+    return t.fresh;
+}
+
+PyDoc_STRVAR(expand_level_doc,
+"expand_level(frontier, visited, max_len, extended, capacity, /)\n--\n\n"
+"The children of each packed class of the list frontier, in turn, that\n"
+"the dict visited does not hold yet, set there with their parent as\n"
+"value while it holds fewer than capacity keys, as (fresh, full); see\n"
+"_kernel_py.expand_level.");
+
+/* Positional arguments only (METH_FASTCALL), so that the search's call
+ * per level builds no argument tuple. */
+static PyObject *
+expand_level(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int extended;
+    Py_ssize_t max_len;
+    child_table t = {NULL, NULL, NULL, 0, 0};
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "expand_level() takes 5 positional arguments but %zd were given", nargs);
+        return NULL;
+    }
+    PyObject *frontier = args[0];
+    t.visited = args[1];
+    if ((extended = PyObject_IsTrue(args[3])) < 0 || load_bound(args[2], &max_len) < 0
+        || load_bound(args[4], &t.capacity) < 0)
+        return NULL;
+    if (!PyList_CheckExact(frontier))
+        return PyErr_Format(PyExc_TypeError, "a frontier must be a list, got %R", frontier);
+    if (!PyDict_CheckExact(t.visited))
+        return PyErr_Format(PyExc_TypeError, "a visited table must be a dict, got %R",
+                            t.visited);
+    t.fresh = PyList_New(0);
+    if (t.fresh == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; !t.full && i < PyList_GET_SIZE(frontier); i++) {
+        /* held: a key's __eq__ may change the list while the class is expanded */
+        t.parent = PyList_GET_ITEM(frontier, i);
+        Py_INCREF(t.parent);
+        int rc = expand_into(t.parent, max_len, extended, &t);
+        Py_DECREF(t.parent);
+        if (rc < 0) {
+            Py_DECREF(t.fresh);
+            return NULL;
+        }
+    }
+    PyObject *out = PyTuple_Pack(2, t.fresh, t.full ? Py_True : Py_False);
+    Py_DECREF(t.fresh);
     return out;
 }
 
@@ -664,6 +748,8 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
     {"expand_class", (PyCFunction)(void (*)(void))expand_class, METH_FASTCALL,
      expand_class_doc},
+    {"expand_level", (PyCFunction)(void (*)(void))expand_level, METH_FASTCALL,
+     expand_level_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -30,9 +30,11 @@ their keys.  `_state_parts`, the one state reader here, checks a packed
 state as the compiled `state_rank` does, and splits it into relators for
 `unpack_state` and `expand_class`, which takes a packed class to its
 packed children: the strict-move children, then, in the extended regime,
-those of the generator basis changes.
+those of the generator basis changes.  `expand_level` runs expand_class
+on each class of a search level and deduplicates the children into the
+search's visited table.
 
-Both functions that take a length bound read it through
+The functions that take a length bound or a capacity read it through
 `operator.index`, as the compiled twin does through `PyNumber_Index`, so
 a bound that is not an integer fails alike in both kernels.
 """
@@ -339,3 +341,37 @@ def expand_class(state, max_len, extended=False, /):
             child.sort(key=lambda part: (len(part), part))
             out[b"".join(part + b"\0" for part in child)] = None
     return list(out)
+
+
+def expand_level(frontier, visited, max_len, extended, capacity, /):
+    """Expand one search level into the visited table: the children of
+    each packed class of the list `frontier`, in turn, by
+    expand_class(parent, max_len, extended), that the dict `visited` does
+    not hold yet.  Each is set there with its parent as value and appended
+    to `fresh`, unless `visited` already holds `capacity` keys; then the
+    level stops.  Returns (fresh, full), full true if the level stopped
+    there.  So a child that an earlier parent of the level produced keeps
+    that parent, and a duplicate needs no room in the table.
+
+    `extended` is read by truth value, then max_len and capacity by
+    operator.index, then the types of frontier and visited, which is the
+    compiled kernel's order; each parent is read as expand_class reads
+    it, when its turn comes, so the children of the parents before a
+    malformed one stay in `visited`.
+    """
+    extended, max_len = bool(extended), operator.index(max_len)
+    capacity = operator.index(capacity)
+    if type(frontier) is not list:
+        raise TypeError("a frontier must be a list, got %r" % (frontier,))
+    if type(visited) is not dict:
+        raise TypeError("a visited table must be a dict, got %r" % (visited,))
+    fresh = []
+    for parent in frontier:
+        for child in expand_class(parent, max_len, extended):
+            if child in visited:
+                continue
+            if len(visited) >= capacity:
+                return fresh, True
+            visited[child] = parent
+            fresh.append(child)
+    return fresh, False

@@ -16,10 +16,11 @@ A class is keyed by its packed state: the `bytes` string that
 `_kernel.pack_state` makes of its sorted canonical relators
 (presentations.canonical_form); the search packs only its start and the
 trivial classes.  The visited table maps each key to its parent's key,
-and the search expands a class by one kernel call in either regime,
-`_kernel.expand_class`, which returns its children packed; `_kernel`
-says which kernel functions are compiled and `_kernel_py` what they
-compute.  A start of rank r searched within total length L reaches no
+and the search expands a whole level by one kernel call in either
+regime, `_kernel.expand_level`, which runs `_kernel.expand_class` on
+each class of the frontier and inserts the new children, packed, into
+the visited table; `_kernel` says which kernel functions are compiled
+and `_kernel_py` what they compute.  A start of rank r searched within total length L reaches no
 generator above r + L, so `_validate_config` requires r + L <= 127, the
 most a packed key holds.
 
@@ -298,9 +299,10 @@ def search(start, cfg, progress=None):
     """Bounded-exhaustive breadth-first search for a trivialization of
     `start`.
 
-    The search expands the class graph level by level, in one process;
-    each state's successors are deduplicated against the visited table
-    before the next state is expanded.
+    The search expands the class graph level by level, in one process,
+    by one `_kernel.expand_level` call per level, which deduplicates
+    each state's successors against the visited table before it expands
+    the next state.
 
     Returns a SearchOutcome: "found" with a verified certificate,
     "exhausted" when the frontier runs out or the search stops at
@@ -327,7 +329,7 @@ def search(start, cfg, progress=None):
     """
     _validate_config(start, cfg)
     L, D = cfg.max_total_length, cfg.max_depth
-    pack_state, expand_class = _kernel.pack_state, _kernel.expand_class
+    pack_state, expand_level = _kernel.pack_state, _kernel.expand_level
     extended = cfg.move_regime == "extended"
     start_state = pack_state(canonical_form(start))
     visited = {start_state: None}    # packed class -> packed parent class
@@ -342,22 +344,10 @@ def search(start, cfg, progress=None):
     depth = 0
     while frontier and depth < D:
         depth += 1
+        new_states, full = expand_level(frontier, visited, L, extended, cfg.dedup_capacity)
         found = None
-        full = False
-        new_states = []
-        for parent in frontier:
-            for child in expand_class(parent, L, extended):
-                if child in visited:
-                    continue
-                if len(visited) >= cfg.dedup_capacity:
-                    full = True
-                    break
-                visited[child] = parent
-                new_states.append(child)
-                if found is None and child in trivial:
-                    found = child
-            if full:
-                break
+        if not trivial.isdisjoint(new_states):
+            found = next(state for state in new_states if state in trivial)
 
         stats.visited = len(visited)
         stats.frontier_peak = max(stats.frontier_peak, len(new_states))

@@ -13,8 +13,13 @@ end, need no compiler: the latter run on whichever kernel
 `ackirby._kernel` selected, and the last one on the pure kernel alone.
 """
 
+import collections
+import copy
+import functools
 import gc
 import importlib.util
+import itertools
+import math
 import os
 import re
 import shlex
@@ -34,6 +39,9 @@ from hypothesis import strategies as st
 
 from ackirby import _kernel
 from ackirby import _kernel_py as pk
+from ackirby.family import presentation_Ln1
+from ackirby.presentations import canonical_form
+from ackirby.search import SearchConfig, outcome_to_dict, search
 from ackirby.words import MAX_GENERATOR
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +88,67 @@ def outcome(fn, *args):
         return fn(*args)
     except (OverflowError, ValueError, TypeError) as exc:
         return type(exc), str(exc)
+
+
+def reference_level(frontier, visited, max_len, extended, capacity):
+    """expand_level written out as a loop over pk.expand_class."""
+    fresh = []
+    for parent in frontier:
+        for child in pk.expand_class(parent, max_len, extended):
+            if child in visited:
+                continue
+            if len(visited) >= capacity:
+                return fresh, True
+            visited[child] = parent
+            fresh.append(child)
+    return fresh, False
+
+
+@functools.cache
+def search_levels(n, max_len, depth, extended):
+    """Each level of a search of the family member n, as (frontier,
+    visited table before it), made by reference_level."""
+    start = pk.pack_state(canonical_form(presentation_Ln1(n)))
+    frontier, visited, levels = [start], {start: None}, []
+    for _ in range(depth):
+        levels.append((frontier, dict(visited)))
+        frontier = reference_level(frontier, visited, max_len, extended, math.inf)[0]
+    return levels
+
+
+SEARCHES = ((1, 13, 4, False), (2, 13, 4, False), (3, 16, 5, False),
+            (1, 12, 3, True), (2, 12, 3, True), (3, 15, 3, True))
+
+
+@st.composite
+def levels(draw):
+    """Arguments of expand_level.  The frontier is a level of a search in
+    SEARCHES, or a few raw packed states; the table holds the classes seen
+    before a search level, or the first of them, or, for raw states, some
+    of their children.  The capacity lies below the table's size, at it,
+    within the level's new children (mid-class or between classes) or
+    past them."""
+    if draw(st.booleans()):
+        n, max_len, depth, extended = search = draw(st.sampled_from(SEARCHES))
+        frontier, seen = draw(st.sampled_from(search_levels(*search)))
+        if draw(st.booleans()):
+            seen = dict(itertools.islice(seen.items(), draw(st.integers(0, len(seen)))))
+        visited = seen
+    else:
+        frontier = draw(st.lists(st.binary(max_size=12).map(lambda b: b + b"\0"), max_size=4))
+        if frontier and draw(st.booleans()):    # a state that may be malformed
+            frontier.insert(draw(st.integers(0, len(frontier))), draw(st.binary(max_size=6)))
+        max_len, extended = draw(st.integers(min_value=-2, max_value=14)), draw(st.booleans())
+        children = []
+        for parent in frontier:
+            got = outcome(pk.expand_class, parent, max_len, extended)
+            children += got if isinstance(got, list) else []
+        visited = dict.fromkeys(draw(st.lists(st.sampled_from(children), max_size=4))
+                                if children else ())
+    added = outcome(reference_level, list(frontier), dict(visited), max_len, extended,
+                    math.inf)[0]
+    cut = draw(st.integers(-1, len(added) + 1 if isinstance(added, list) else 1))
+    return frontier, visited, max_len, extended, len(visited) + cut
 
 
 # 0-4 relators drawn from a pool of raw words, so duplicates are common;
@@ -167,9 +236,12 @@ class TestSelection:
         build of an older `_kernel_c.c`, counts as absent."""
         shutil.copytree(ROOT / "src" / "ackirby", tmp_path / "ackirby",
                         ignore=shutil.ignore_patterns("__pycache__", "_kernel_c*"))
-        (tmp_path / "ackirby" / "_kernel_c.py").write_text(
-            "def reduce_word(letters):\n"
-            "    raise AssertionError('the incomplete kernel was used')\n")
+        # the five functions of a build from before expand_level
+        (tmp_path / "ackirby" / "_kernel_c.py").write_text("".join(
+            "def %s(*args):\n"
+            "    raise AssertionError('the incomplete kernel was used')\n" % name
+            for name in ("canonical_relator", "expand_class", "expand_multiply",
+                         "reduce_word", "sort_relators")))
         out = run_py("import ackirby\n"
                      "from ackirby.family import presentation_Ln1\n"
                      "print(ackirby.BACKEND)\n"
@@ -188,8 +260,8 @@ class TestSelection:
         crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
         (tmp_path / "ackirby" / "_kernel_c.py").write_text(
             "from ackirby._kernel_py import (\n"
-            "    canonical_relator, expand_class, expand_multiply, reduce_word,\n"
-            "    sort_relators)\n"
+            "    canonical_relator, expand_class, expand_level, expand_multiply,\n"
+            "    reduce_word, sort_relators)\n"
             "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
         out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
         assert out.strip() == backend
@@ -277,6 +349,24 @@ class TestFunctionParity:
         assert pk.expand_class(state, max_len, extended) == \
             ck.expand_class(state, max_len, extended)
 
+    @settings(max_examples=300, deadline=None)
+    @given(levels())
+    def test_expand_level(self, ck, level):
+        """Both kernels expand a level as the loop over pk.expand_class
+        does: the same fresh children, the same `full` or error, and the
+        same visited items in the same order, so a child that an earlier
+        parent of the level produced keeps that parent."""
+        frontier, visited, max_len, extended, capacity = level
+        want_visited = dict(visited)
+        want = outcome(reference_level, list(frontier), want_visited, max_len, extended,
+                       capacity)
+        for kernel in (pk, ck):
+            got_visited = dict(visited)
+            got = outcome(kernel.expand_level, list(frontier), got_visited, max_len, extended,
+                          capacity)
+            assert got == want, kernel.__name__
+            assert list(got_visited.items()) == list(want_visited.items()), kernel.__name__
+
 
 @needs_compiler
 @pytest.mark.parametrize(
@@ -340,6 +430,69 @@ def test_basis_changes_need_a_packable_rank(ck):
     assert ck.expand_class(state, 0) == pk.expand_class(state, 0) == []
 
 
+LEVEL_START = pk.pack_state([(1,), (2, 2)])
+
+
+@needs_compiler
+@pytest.mark.parametrize("second, max_len, extended", [
+    (b"\x01", 6, False), ("x\x00", 6, False), (b"\x01\x00\xff\x00", 6, True),
+    # the products of the rank-127 class come before its stabilization,
+    # and the basis changes at rank 128 after its products
+    (b"\x01\x00" + b"\0" * 126, 6, False), (b"\x01\x00" + b"\0" * 127, 0, True)],
+    ids=("no_final_zero", "str", "generator_128", "stabilize_to_128", "basis_change_at_128"))
+def test_level_error_parity(ck, second, max_len, extended):
+    """A level whose second state the kernels refuse raises the same
+    error on both and leaves the same visited items behind: the first
+    state's new children, and none of the refused state's, although
+    some of those come before the reason to refuse it."""
+    want_visited = {LEVEL_START: None}
+    want = outcome(pk.expand_level, [LEVEL_START, second], want_visited, max_len, extended, 99)
+    assert want[0] in (TypeError, ValueError, OverflowError)
+    assert len(want_visited) > 1
+    got_visited = {LEVEL_START: None}
+    assert outcome(ck.expand_level, [LEVEL_START, second], got_visited, max_len, extended,
+                   99) == want
+    assert list(got_visited.items()) == list(want_visited.items())
+
+
+@needs_compiler
+@pytest.mark.parametrize("frontier, visited, max_len, extended, capacity", [
+    ((LEVEL_START,), {}, 6, False, 9), ([LEVEL_START], [], 6, False, 9),
+    ([LEVEL_START], collections.OrderedDict(), 6, False, 9),
+    ([LEVEL_START], {}, 6.0, False, 9), ([LEVEL_START], {}, 6, False, 9.0),
+    ([LEVEL_START], {}, 6, False, "9"), ([LEVEL_START], {}, 6, False, None),
+    ([LEVEL_START], {}, 6, [0], True), ([LEVEL_START], {}, 6, False, 2**70),
+    ([LEVEL_START], {}, 6, False, -2**70)],
+    ids=("frontier_tuple", "visited_list", "visited_subclass", "max_len_float",
+         "capacity_float", "capacity_str", "capacity_None", "capacity_True",
+         "capacity_huge", "capacity_huge_negative"))
+def test_level_arguments_read_alike(ck, frontier, visited, max_len, extended, capacity):
+    """Both kernels take a frontier that is a list and a visited table
+    that is a dict, no subclass of either, raising TypeError otherwise,
+    and read the capacity as they read max_len: as an integer
+    (operator.index), a huge one admitting as many classes as any
+    capacity past the table."""
+    want_visited, got_visited = copy.copy(visited), copy.copy(visited)
+    want = outcome(pk.expand_level, frontier, want_visited, max_len, extended, capacity)
+    assert outcome(ck.expand_level, frontier, got_visited, max_len, extended, capacity) == want
+    assert list(got_visited) == list(want_visited)
+    if type(frontier) is not list or type(visited) is not dict or \
+            isinstance(max_len, float) or isinstance(capacity, (float, str, type(None))):
+        assert want[0] is TypeError
+
+
+@needs_compiler
+@pytest.mark.parametrize("backend", ("python", "c"))
+def test_huge_capacity_searches_uncapped(ck, monkeypatch, backend):
+    """A dedup capacity beyond a C ssize_t searches as one that never
+    fills, on both kernels."""
+    monkeypatch.setattr(_kernel, "expand_level", {"python": pk, "c": ck}[backend].expand_level)
+    start = presentation_Ln1(1)
+    want = outcome_to_dict(search(start, SearchConfig(13, 24)))
+    assert want["status"] == "found"
+    assert outcome_to_dict(search(start, SearchConfig(13, 24, dedup_capacity=10**30))) == want
+
+
 @needs_compiler
 def test_compiled_kernel_rejects_out_of_range_letters(ck):
     """The compiled kernel holds letter keys in 32 bits, so a letter
@@ -371,6 +524,13 @@ def test_compiled_kernel_does_not_leak(ck):
     cache, so every letter the kernel boxes is a fresh allocation."""
     a, b, c = 300, 301, 302
     rels = [(a, b, -a), (c,), (a, a, -b), (c,)]
+    frontier = [LEVEL_START, pk.pack_state([(1,), (1, -2, -2)])]
+
+    def level(frontier, seeded, max_len, extended, capacity):
+        """expand_level on a copy of the table, so that each call adds
+        children, or what it raises."""
+        return outcome(ck.expand_level, frontier, dict(seeded), max_len, extended, capacity)
+
     calls = (
         (ck.reduce_word, ((a, b, -b, c, -a, a),)),
         (ck.canonical_relator, ((b, a, -b, a, a),)),
@@ -380,6 +540,11 @@ def test_compiled_kernel_does_not_leak(ck):
         (ck.expand_class, (pk.pack_state([(1,), (2, 2)]), 4)),
         # and the basis changes, with a Nielsen move that cancels
         (ck.expand_class, (pk.pack_state([(1,), (1, -2, -2)]), 6, True)),
+        # a level, a level that fills the table, and a level whose second
+        # state is malformed
+        (level, (frontier, {LEVEL_START: None}, 6, True, 10**6)),
+        (level, (frontier, {LEVEL_START: None}, 6, True, 4)),
+        (level, ([LEVEL_START, b"\x01", LEVEL_START], {}, 6, False, 10**6)),
     )
     for fn, args in calls:
         watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
@@ -464,6 +629,17 @@ for _ in range(int(sys.argv[4])):
     assert outcome(ck.expand_class, raw, b) == outcome(pk.expand_class, raw, b), (raw, b)
     assert outcome(ck.expand_class, raw, b, True) == \\
         outcome(pk.expand_class, raw, b, True), (raw, b)
+    # a level, a level that fills the table, and one whose second state is
+    # malformed: the same result and the same table on both kernels
+    frontier = [state, pk.pack_state(pk.sort_relators(rels[1:]))]
+    seeded = dict.fromkeys([state] + pk.expand_class(state, b)[:rng.randrange(3)])
+    extended = rng.random() < 0.5
+    for level, cap in ((frontier, 10**6), (frontier, len(seeded) + rng.randrange(4)),
+                       ([state, raw + b"\\x01", state], 10**6)):
+        vc, vp = dict(seeded), dict(seeded)
+        assert outcome(ck.expand_level, level, vc, b, extended, cap) == \\
+            outcome(pk.expand_level, level, vp, b, extended, cap), (level, b, cap)
+        assert list(vc.items()) == list(vp.items()), (level, b, cap)
 print("ok")
 """ % MAX_GENERATOR
 
@@ -473,7 +649,7 @@ print("ok")
 def test_compiled_kernel_under_sanitizers(tmp_path):
     """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
     and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
-    random calls of its five functions without a sanitizer report.
+    random calls of its six functions without a sanitizer report.
     Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
     kernel's buffers are checked byte for byte; any report aborts the
     run."""
@@ -508,11 +684,11 @@ def _public_functions(module):
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
     re-exported by the selecting module, fails here; so does any function
-    beyond the five hot-path ones, `invert_word` and the packed-state
+    beyond the six hot-path ones, `invert_word` and the packed-state
     codec, which only the pure kernel defines and `_kernel` takes from it
     on both backends."""
-    hot = ["canonical_relator", "expand_class", "expand_multiply", "reduce_word",
-           "sort_relators"]
+    hot = ["canonical_relator", "expand_class", "expand_level", "expand_multiply",
+           "reduce_word", "sort_relators"]
     assert _public_functions(ck) == hot
     assert _public_functions(pk) == _public_functions(_kernel) == \
         sorted(hot + ["invert_word", "pack_state", "unpack_state"])

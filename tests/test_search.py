@@ -216,31 +216,6 @@ class TestDeterminism:
         assert seq.status == par["outcome"]["status"] == "exhausted"
         assert seq.stats.visited == par["outcome"]["stats"]["visited"]
 
-    def test_expansion_is_streamed(self, monkeypatch):
-        """In-process, each state's children, from one kernel call per
-        state, are deduplicated before the next state is expanded."""
-        lists, early = [], []
-
-        class Recorded(list):
-            consumed = False
-
-            def __iter__(self):
-                yield from list.__iter__(self)
-                self.consumed = True
-
-        expand_class = search_module._kernel.expand_class
-
-        def recording(*args):
-            early.extend(k for k, seen in enumerate(lists) if not seen.consumed)
-            lists.append(Recorded(expand_class(*args)))
-            return lists[-1]
-
-        monkeypatch.setattr(search_module._kernel, "expand_class", recording)
-        out = search(presentation_Ln1(3), cfg(15, 8))
-        assert (out.status, out.stats.visited) == ("exhausted", 55)
-        assert len(lists) > 1
-        assert early == []
-
     def test_complete_n3_graph_at_15(self):
         """With no effective depth cap the n=3 class graph within length
         15 runs out: 82 classes, as the naive oracle counts."""
@@ -295,7 +270,7 @@ class TestDeterminism:
         assert bool(frontier) == extended    # the strict graphs run out
 
     def test_extended_search_expands_packed_classes(self, monkeypatch):
-        """The extended search expands each class by one kernel call: it
+        """The extended search expands each level by one kernel call: it
         neither unpacks a class nor applies an atomic move in Python.
         Only the expansion of a found certificate does, and this search
         finds none."""

@@ -20,9 +20,9 @@ and the search expands a whole level by one kernel call in either
 regime, `_kernel.expand_level`, which runs `_kernel.expand_class` on
 each class of the frontier and inserts the new children, packed, into
 the visited table; `_kernel` says which kernel functions are compiled
-and `_kernel_py` what they compute.  A start of rank r searched within total length L reaches no
-generator above r + L, so `_validate_config` requires r + L <= 127, the
-most a packed key holds.
+and `_kernel_py` what they compute.  A start of rank r searched within
+total length L reaches no generator above r + L, so `_validate_config`
+requires r + L <= 127, the most a packed key holds.
 
 Only the path to a trivial class needs its edges.  Certificate
 expansion unpacks the classes on that path and re-derives each edge from

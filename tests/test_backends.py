@@ -129,11 +129,11 @@ def levels(draw):
     within the level's new children (mid-class or between classes) or
     past them."""
     if draw(st.booleans()):
-        n, max_len, depth, extended = search = draw(st.sampled_from(SEARCHES))
-        frontier, seen = draw(st.sampled_from(search_levels(*search)))
+        search = draw(st.sampled_from(SEARCHES))
+        _, max_len, _, extended = search
+        frontier, visited = draw(st.sampled_from(search_levels(*search)))
         if draw(st.booleans()):
-            seen = dict(itertools.islice(seen.items(), draw(st.integers(0, len(seen)))))
-        visited = seen
+            visited = dict(itertools.islice(visited.items(), draw(st.integers(0, len(visited)))))
     else:
         frontier = draw(st.lists(st.binary(max_size=12).map(lambda b: b + b"\0"), max_size=4))
         if frontier and draw(st.booleans()):    # a state that may be malformed

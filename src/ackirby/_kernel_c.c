@@ -19,10 +19,10 @@
  * does and counts its relators for expand_into, the one enumeration of a
  * class's children, which writes them packed through the product loop that
  * expand_multiply uses and, in the extended regime, through
- * add_basis_child.  One sink, add_child, puts each into a child_table:
- * expand_class gives each class an empty one, expand_level the caller's
- * visited dict for a whole level.  One reader, load_bound, takes every
- * length bound and capacity through PyNumber_Index.
+ * add_basis_child.  expand_level, its one entry point, runs it on each
+ * class of a level, and one sink, add_child, puts each child into the
+ * caller's visited dict.  One reader, load_bound, takes every length bound
+ * and capacity through PyNumber_Index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -461,9 +461,9 @@ relator_after(const class_ctx *x, Py_ssize_t r, const long *c, Py_ssize_t n)
     return keys_less(c, x->keys + x->start[r], n);
 }
 
-/* The sink of expand_class: packs the class's relators but x->skip, with
- * the n keys at c inserted before the first of them that sorts after them
- * (canonical order, as _kernel_py._insert), and adds the child. */
+/* Packs the class's relators but x->skip, with the n keys at c inserted
+ * before the first of them that sorts after them (canonical order, as
+ * _kernel_py._insert), and adds the child. */
 static int
 class_sink(void *ctx, const long *c, Py_ssize_t n, Py_ssize_t p, int eps, Py_ssize_t q)
 {
@@ -558,10 +558,10 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
 
 /* Adds the children of the packed class `state` to the table t, in the
  * order of _kernel_py.expand_class: the one enumeration of a class's
- * children, behind both expand_class and expand_level.  Its twin makes
- * all of a class's children before it returns any, so the state and the
- * generators its children would name are checked before the first child
- * is added. */
+ * children, which expand_level runs on each class of a level.  Its twin
+ * makes all of a class's children before it returns any, so the state
+ * and the generators its children would name are checked before the
+ * first child is added. */
 static int
 expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
 {
@@ -661,36 +661,6 @@ done:
     return ok ? 0 : -1;
 }
 
-PyDoc_STRVAR(expand_class_doc,
-"expand_class(state, max_len, extended=False, /)\n--\n\n"
-"Packed child classes of a packed class under the strict moves, then,\n"
-"if extended, under the generator basis changes in the order of\n"
-"search._basis_changes, within total length max_len, each once, in\n"
-"first-occurrence order; see _kernel_py.expand_class.");
-
-/* Positional arguments only (METH_FASTCALL), like expand_level.  The
- * children are the fresh ones of an empty table that is never full. */
-static PyObject *
-expand_class(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int extended = 0;
-    Py_ssize_t max_len;
-    if (nargs < 2 || nargs > 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "expand_class() takes from 2 to 3 positional arguments but %zd were given",
-                     nargs);
-        return NULL;
-    }
-    if ((nargs == 3 && (extended = PyObject_IsTrue(args[2])) < 0)
-        || load_bound(args[1], &max_len) < 0)
-        return NULL;
-    child_table t = {PyDict_New(), Py_None, PyList_New(0), PY_SSIZE_T_MAX, 0};
-    if (t.visited == NULL || t.fresh == NULL || expand_into(args[0], max_len, extended, &t) < 0)
-        Py_CLEAR(t.fresh);
-    Py_XDECREF(t.visited);
-    return t.fresh;
-}
-
 PyDoc_STRVAR(expand_level_doc,
 "expand_level(frontier, visited, max_len, extended, capacity, /)\n--\n\n"
 "The children of each packed class of the list frontier, in turn, that\n"
@@ -746,8 +716,6 @@ static PyMethodDef kernel_methods[] = {
     {"sort_relators", sort_relators, METH_O, sort_relators_doc},
     {"expand_multiply", (PyCFunction)(void (*)(void))expand_multiply,
      METH_VARARGS | METH_KEYWORDS, expand_multiply_doc},
-    {"expand_class", (PyCFunction)(void (*)(void))expand_class, METH_FASTCALL,
-     expand_class_doc},
     {"expand_level", (PyCFunction)(void (*)(void))expand_level, METH_FASTCALL,
      expand_level_doc},
     {NULL, NULL, 0, NULL},

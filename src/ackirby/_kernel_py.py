@@ -32,7 +32,8 @@ state as the compiled `state_rank` does, and splits it into relators for
 packed children: the strict-move children, then, in the extended regime,
 those of the generator basis changes.  `expand_level` runs expand_class
 on each class of a search level and deduplicates the children into the
-search's visited table.
+search's visited table.  The compiled twin has no `expand_class`: its
+one enumeration of a class's children is reached through `expand_level`.
 
 The functions that take a length bound or a capacity read it through
 `operator.index`, as the compiled twin does through `PyNumber_Index`, so
@@ -289,7 +290,7 @@ def expand_class(state, max_len, extended=False, /):
     the relators; the child is kept if its total length fits.
 
     `extended` is read by truth value, then max_len by operator.index,
-    then the state, which is the compiled kernel's order.
+    then the state: the order in which expand_level reads them.
     """
     extended, max_len = bool(extended), operator.index(max_len)
     parts = _state_parts(state)

@@ -235,30 +235,31 @@ _OUTCOME_EXIT = {"found": EXIT_OK, "exhausted": EXIT_NEGATIVE,
 
 
 def _emit_outcome(args, start, cfg, outcome):
-    doc = {
-        "command": "search",
-        "input": presentation_to_text(start),
-        "config": dict(dataclasses.asdict(cfg), seed=args.seed, workers=args.workers),
-        "outcome": outcome_to_dict(outcome),
-    }
-    stats = outcome.stats
-    lines = [
-        "status: %s" % outcome.status,
-        "input: %s" % presentation_to_text(start),
-        "visited: %d" % stats.visited,
-        "frontier-peak: %d" % stats.frontier_peak,
-        "depth-reached: %d" % stats.depth_reached,
-        "max-total-length: %d" % cfg.max_total_length,
-        "max-depth: %d" % cfg.max_depth,
-        "regime: %s" % cfg.move_regime,
-        "workers: %d" % args.workers,
-        "seed: %s" % ("none" if args.seed is None else args.seed),
-    ]
-    if outcome.found:
-        lines.append("moves: %d" % len(outcome.certificate.moves))
-        for k, move in enumerate(outcome.certificate.moves, 1):
-            lines.append("move %d: %s" % (k, _move_brief(move)))
-    _emit(args, doc, lines)
+    """Print a search outcome in the one form asked for; the other is
+    not built."""
+    if args.format == "json":
+        print(_dump({
+            "command": "search",
+            "input": presentation_to_text(start),
+            "config": dict(dataclasses.asdict(cfg), seed=args.seed, workers=args.workers),
+            "outcome": outcome_to_dict(outcome),
+        }))
+    else:
+        stats = outcome.stats
+        print("status: %s" % outcome.status)
+        print("input: %s" % presentation_to_text(start))
+        print("visited: %d" % stats.visited)
+        print("frontier-peak: %d" % stats.frontier_peak)
+        print("depth-reached: %d" % stats.depth_reached)
+        print("max-total-length: %d" % cfg.max_total_length)
+        print("max-depth: %d" % cfg.max_depth)
+        print("regime: %s" % cfg.move_regime)
+        print("workers: %d" % args.workers)
+        print("seed: %s" % ("none" if args.seed is None else args.seed))
+        if outcome.found:
+            print("moves: %d" % len(outcome.certificate.moves))
+            for k, move in enumerate(outcome.certificate.moves, 1):
+                print("move %d: %s" % (k, _move_brief(move)))
     if args.cert_out and outcome.found:
         _write_cert(args.cert_out, outcome.certificate)
     return _OUTCOME_EXIT[outcome.status]
@@ -290,31 +291,30 @@ def _cmd_search(args):
 def _cmd_verify(args):
     cert = certificate_from_dict(json.loads(_read_text(args.cert)))
     report = verify(cert, trace=True)
-    trace_doc = [{"move": move_to_dict(m), "after": presentation_to_text(p)}
-                 for m, p in (report.trace or ())]
-    doc = {
-        "command": "verify",
-        "start": presentation_to_text(cert.start),
-        "ok": report.ok,
-        "steps_applied": report.steps_applied,
-        "failed_step": report.failed_step,
-        "reason": report.reason,
-        "final": presentation_to_text(report.final) if report.final else None,
-        "trace": trace_doc,
-    }
-    lines = ["start: %s" % presentation_to_text(cert.start)]
-    for k, (move, after) in enumerate(report.trace or (), 1):
-        lines.append("step %d: %s -> %s"
-                     % (k, _move_brief(move), presentation_to_text(after)))
-    lines.append("steps-applied: %d" % report.steps_applied)
-    lines.append("ok: %s" % _yesno(report.ok))
-    if report.ok:
-        lines.append("final: %s" % presentation_to_text(report.final))
+    if args.format == "json":
+        print(_dump({
+            "command": "verify",
+            "start": presentation_to_text(cert.start),
+            "ok": report.ok,
+            "steps_applied": report.steps_applied,
+            "failed_step": report.failed_step,
+            "reason": report.reason,
+            "final": presentation_to_text(report.final) if report.final else None,
+            "trace": [{"move": move_to_dict(m), "after": presentation_to_text(p)}
+                      for m, p in (report.trace or ())],
+        }))
     else:
-        if report.failed_step is not None:
-            lines.append("failed-step: %d" % (report.failed_step + 1))
-        lines.append("reason: %s" % report.reason)
-    _emit(args, doc, lines)
+        print("start: %s" % presentation_to_text(cert.start))
+        for k, (move, after) in enumerate(report.trace or (), 1):
+            print("step %d: %s -> %s" % (k, _move_brief(move), presentation_to_text(after)))
+        print("steps-applied: %d" % report.steps_applied)
+        print("ok: %s" % _yesno(report.ok))
+        if report.ok:
+            print("final: %s" % presentation_to_text(report.final))
+        else:
+            if report.failed_step is not None:
+                print("failed-step: %d" % (report.failed_step + 1))
+            print("reason: %s" % report.reason)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 

@@ -14,11 +14,8 @@ atomic moves.  All moves are invertible; see inverse_move.
 Every atomic move is defined once, in atomic_move, on relator letter
 tuples whose number is the rank; the generator-level moves are generator
 maps applied by words.map_generators.  apply_move, the search's
-successors (search._successors) and certificate expansion all call it.
-The search itself expands packed classes with `_kernel.expand_class`,
-a level at a time through `_kernel.expand_level` (see `_kernel_py`);
-tests hold expand_class to the children of `_successors` in both
-regimes.
+successors (search._successors) and certificate expansion all call it;
+`search` says how the search itself expands classes.
 """
 
 from dataclasses import dataclass

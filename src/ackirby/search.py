@@ -17,12 +17,13 @@ A class is keyed by its packed state: the `bytes` string that
 (presentations.canonical_form); the search packs only its start and the
 trivial classes.  The visited table maps each key to its parent's key,
 and the search expands a whole level by one kernel call in either
-regime, `_kernel.expand_level`, which runs `_kernel.expand_class` on
-each class of the frontier and inserts the new children, packed, into
-the visited table; `_kernel` says which kernel functions are compiled
-and `_kernel_py` what they compute.  A start of rank r searched within
-total length L reaches no generator above r + L, so `_validate_config`
-requires r + L <= 127, the most a packed key holds.
+regime, `_kernel.expand_level`, which enumerates the children of each
+class of the frontier, as `_kernel_py.expand_class` states them, and
+inserts the new ones, packed, into the visited table; `_kernel` says
+which kernel functions are compiled and `_kernel_py` what they compute.
+A start of rank r searched within total length L reaches no generator
+above r + L, so `_validate_config` requires r + L <= 127, the most a
+packed key holds.
 
 Only the path to a trivial class needs its edges.  Certificate
 expansion unpacks the classes on that path and re-derives each edge from
@@ -33,10 +34,10 @@ single-letter relator and, in the extended regime, the basis changes,
 each applied by presentations.atomic_move, the one definition of each
 atomic move that apply_move replays, skipped where atomic_move rejects
 it, and kept if its canonical child fits max_len.  So a class edge and
-its atomic moves cannot drift apart.  `expand_class` yields the
-children of `_successors` in the same order, each once, in both
-regimes; tests check the two against each other and against the naive
-oracle.
+its atomic moves cannot drift apart.  A class's children in the
+kernel's enumeration are those of `_successors` in the same order, each
+once, in both regimes; tests check `expand_level` on one class at a
+time against `_successors` and against the naive oracle.
 
 Bounds: max_total_length applies to the canonical (minimal) total
 length of every class on a path; max_depth counts essential moves.
@@ -149,7 +150,7 @@ def verify(cert, trace=False):
 
 def _basis_changes(rank):
     """The extended regime's generator basis changes at a rank, in
-    enumeration order, which `_kernel.expand_class` follows too."""
+    enumeration order, which the kernel's class enumeration follows too."""
     gens = range(1, rank + 1)
     moves = [NielsenGenerator(i, j, s) for i in gens for j in gens if j != i for s in (1, -1)]
     moves += [InvertGenerator(i) for i in gens]

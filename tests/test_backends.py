@@ -104,6 +104,19 @@ def reference_level(frontier, visited, max_len, extended, capacity):
     return fresh, False
 
 
+# a capacity that no class's children reach
+UNCAPPED = sys.maxsize
+
+
+def class_children(kernel, state, max_len, extended=False):
+    """The children of one class by kernel.expand_level: a one-class
+    frontier, an empty table and a capacity past the class.  On either
+    kernel that is pk.expand_class(state, max_len, extended)."""
+    fresh, full = kernel.expand_level([state], {}, max_len, extended, UNCAPPED)
+    assert not full
+    return fresh
+
+
 @functools.cache
 def search_levels(n, max_len, depth, extended):
     """Each level of a search of the family member n, as (frontier,
@@ -260,8 +273,8 @@ class TestSelection:
         crc = zlib.crc32((tmp_path / "ackirby" / "_kernel_c.c").read_bytes())
         (tmp_path / "ackirby" / "_kernel_c.py").write_text(
             "from ackirby._kernel_py import (\n"
-            "    canonical_relator, expand_class, expand_level, expand_multiply,\n"
-            "    reduce_word, sort_relators)\n"
+            "    canonical_relator, expand_level, expand_multiply, reduce_word,\n"
+            "    sort_relators)\n"
             "SOURCE_CRC32 = '%08x'\n" % (crc + offset))
         out = run_py("import ackirby; print(ackirby.BACKEND)", pure=False, tree=tmp_path)
         assert out.strip() == backend
@@ -336,7 +349,7 @@ class TestFunctionParity:
         in canonical order."""
         for extended in (False, True):
             assert outcome(pk.expand_class, state, max_len, extended) == \
-                outcome(ck.expand_class, state, max_len, extended)
+                outcome(class_children, ck, state, max_len, extended)
 
     @settings(max_examples=300, deadline=None)
     @given(packable_classes(max_size=7),
@@ -347,7 +360,7 @@ class TestFunctionParity:
     def test_expand_class(self, ck, rels, max_len, extended):
         state = pk.pack_state(rels)
         assert pk.expand_class(state, max_len, extended) == \
-            ck.expand_class(state, max_len, extended)
+            class_children(ck, state, max_len, extended)
 
     @settings(max_examples=300, deadline=None)
     @given(levels())
@@ -384,13 +397,15 @@ def test_malformed_state_fails_alike(ck, read, state):
     regimes."""
     want = outcome(read, state)
     assert want[0] in (TypeError, ValueError)
-    assert outcome(ck.expand_class, state, 6) == outcome(ck.expand_class, state, 6, True) == want
+    assert outcome(class_children, ck, state, 6) == \
+        outcome(class_children, ck, state, 6, True) == want
 
 
 @needs_compiler
 @pytest.mark.parametrize("bound", (5.0, "5", None, True, 2**70, -2**70),
                          ids=("float", "str", "None", "True", "huge", "huge_negative"))
-@pytest.mark.parametrize("call", (lambda k, b: k.expand_class(b"\x01\x00", b),
+# expand_class: one class's children, through expand_level
+@pytest.mark.parametrize("call", (lambda k, b: class_children(k, b"\x01\x00", b),
                                   lambda k, b: k.expand_multiply((1,), (2,), b)),
                          ids=("expand_class", "expand_multiply"))
 def test_length_bound_read_alike(ck, call, bound):
@@ -413,10 +428,12 @@ def test_extended_read_alike(ck, extended):
     only."""
     state = pk.pack_state([(1,), (1, 2)])
     want = pk.expand_class(state, 6, bool(extended))
-    assert ck.expand_class(state, 6, extended) == pk.expand_class(state, 6, extended) == want
+    assert class_children(ck, state, 6, extended) == pk.expand_class(state, 6, extended) == want
+    with pytest.raises(TypeError):
+        pk.expand_class(state, 6, extended=extended)
     for kernel in (pk, ck):
         with pytest.raises(TypeError):
-            kernel.expand_class(state, 6, extended=extended)
+            kernel.expand_level([state], {}, 6, extended=extended, capacity=UNCAPPED)
 
 
 @needs_compiler
@@ -426,8 +443,8 @@ def test_basis_changes_need_a_packable_rank(ck):
     state = b"\0" * 128
     want = outcome(pk.expand_class, state, 0, True)
     assert want == (OverflowError, "basis changes at rank 128 name generators above 127")
-    assert outcome(ck.expand_class, state, 0, True) == want
-    assert ck.expand_class(state, 0) == pk.expand_class(state, 0) == []
+    assert outcome(class_children, ck, state, 0, True) == want
+    assert class_children(ck, state, 0) == pk.expand_class(state, 0) == []
 
 
 LEVEL_START = pk.pack_state([(1,), (2, 2)])
@@ -536,10 +553,11 @@ def test_compiled_kernel_does_not_leak(ck):
         (ck.canonical_relator, ((b, a, -b, a, a),)),
         (ck.sort_relators, (rels,)),
         (ck.expand_multiply, (pk.canonical_relator((a, b)), (b,), 6)),
-        # a multiplication, the stabilization and a destabilization
-        (ck.expand_class, (pk.pack_state([(1,), (2, 2)]), 4)),
+        # a class alone: a multiplication, the stabilization and a
+        # destabilization
+        (level, ([LEVEL_START], {}, 4, False, 10**6)),
         # and the basis changes, with a Nielsen move that cancels
-        (ck.expand_class, (pk.pack_state([(1,), (1, -2, -2)]), 6, True)),
+        (level, ([pk.pack_state([(1,), (1, -2, -2)])], {}, 6, True, 10**6)),
         # a level, a level that fills the table, and a level whose second
         # state is malformed
         (level, (frontier, {LEVEL_START: None}, 6, True, 10**6)),
@@ -580,6 +598,7 @@ SANITIZE_SEED = 12
 SANITIZE_ROUNDS = 3000
 SANITIZE_SNIPPET = """
 import importlib.util
+import itertools
 import random
 import sys
 
@@ -623,12 +642,11 @@ for _ in range(int(sys.argv[4])):
                              for _ in range(rng.randrange(5))])
     state = pk.pack_state(rels)
     b = rng.randrange(-2, 25)
-    assert ck.expand_class(state, b) == pk.expand_class(state, b), (rels, b)
-    assert ck.expand_class(state, b, True) == pk.expand_class(state, b, True), (rels, b)
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(12))) + b"\\0"
-    assert outcome(ck.expand_class, raw, b) == outcome(pk.expand_class, raw, b), (raw, b)
-    assert outcome(ck.expand_class, raw, b, True) == \\
-        outcome(pk.expand_class, raw, b, True), (raw, b)
+    # one class, on an empty table: the children of pk.expand_class
+    for one, extended in itertools.product((state, raw), (False, True)):
+        assert outcome(ck.expand_level, [one], {}, b, extended, 10**6) == \\
+            outcome(lambda: (pk.expand_class(one, b, extended), False)), (one, b)
     # a level, a level that fills the table, and one whose second state is
     # malformed: the same result and the same table on both kernels
     frontier = [state, pk.pack_state(pk.sort_relators(rels[1:]))]
@@ -649,7 +667,7 @@ print("ok")
 def test_compiled_kernel_under_sanitizers(tmp_path):
     """`_kernel_c`, built by `setup.py build_ext` with AddressSanitizer
     and UndefinedBehaviorSanitizer, agrees with `_kernel_py` on seeded
-    random calls of its six functions without a sanitizer report.
+    random calls of its five functions without a sanitizer report.
     Python allocates with plain malloc (PYTHONMALLOC=malloc), so the
     kernel's buffers are checked byte for byte; any report aborts the
     run."""
@@ -684,14 +702,17 @@ def _public_functions(module):
 def test_kernels_expose_same_functions(ck):
     """A function added to one kernel but not the other, or not
     re-exported by the selecting module, fails here; so does any function
-    beyond the six hot-path ones, `invert_word` and the packed-state
+    beyond the five hot-path ones, `invert_word` and the packed-state
     codec, which only the pure kernel defines and `_kernel` takes from it
-    on both backends."""
-    hot = ["canonical_relator", "expand_class", "expand_level", "expand_multiply",
-           "reduce_word", "sort_relators"]
+    on both backends.  The pure kernel alone also defines `expand_class`,
+    the statement of one class's children that its `expand_level` loops
+    over."""
+    hot = ["canonical_relator", "expand_level", "expand_multiply", "reduce_word",
+           "sort_relators"]
     assert _public_functions(ck) == hot
-    assert _public_functions(pk) == _public_functions(_kernel) == \
-        sorted(hot + ["invert_word", "pack_state", "unpack_state"])
+    kernel = sorted(hot + ["invert_word", "pack_state", "unpack_state"])
+    assert _public_functions(_kernel) == kernel
+    assert _public_functions(pk) == sorted(kernel + ["expand_class"])
     assert _kernel.invert_word is pk.invert_word
     assert _kernel.pack_state is pk.pack_state and _kernel.unpack_state is pk.unpack_state
     assert _kernel.MAX_PACKED_GENERATOR == ck.MAX_PACKED_GENERATOR == 127
@@ -778,7 +799,7 @@ def test_generator_128_does_not_pack(letter):
         _kernel.pack_state([(1,), (1, letter)])
     # a stabilization of a rank-127 class would add generator 128
     with pytest.raises(OverflowError, match="above 127"):
-        _kernel.expand_class(_kernel.pack_state([()] * 127), 1)
+        class_children(_kernel, _kernel.pack_state([()] * 127), 1)
 
 
 def test_pure_expand_class_checks_state():

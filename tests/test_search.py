@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,12 +241,14 @@ class TestDeterminism:
                                              classes):
         """On every class within `depth` moves of family member n and
         within the length bound, the kernel's packed children are the
-        reference's children, packed, each at its first occurrence.  In
-        the strict regime that is the complete n=3 graph; in the extended
-        regime the basis-change children follow the strict ones.  The
-        references are `_successors`, whose products come from the same
-        product loop as `expand_class`, and the naive oracle, which
-        shares no code."""
+        reference's children, packed, each at its first occurrence.  The
+        kernel gives them by `expand_level` on the class alone, with an
+        empty table and a capacity past the graph, so the compiled
+        enumeration is checked too.  In the strict regime that is the
+        complete n=3 graph; in the extended regime the basis-change
+        children follow the strict ones.  The references are
+        `_successors`, whose products come from the same product loop as
+        the kernel's, and the naive oracle, which shares no code."""
         def reference_children(rels):
             if reference == "naive":
                 return [child for _, child
@@ -261,8 +264,9 @@ class TestDeterminism:
             for rels in frontier:
                 children = reference_children(rels)
                 want = list(dict.fromkeys(map(pack, children)))
-                got = search_module._kernel.expand_class(pack(rels), max_len, extended)
-                assert got == want, rels
+                got = search_module._kernel.expand_level([pack(rels)], {}, max_len, extended,
+                                                         sys.maxsize)
+                assert got == (want, False), rels
                 level += [child for child in dict.fromkeys(children) if child not in seen]
                 seen.update(level)
             frontier = level

@@ -20,9 +20,9 @@
  * class's children, which writes them packed through the product loop that
  * expand_multiply uses and, in the extended regime, through
  * add_basis_child.  expand_level, its one entry point, runs it on each
- * class of a level, and one sink, add_child, puts each child into the
- * caller's visited dict.  One reader, load_bound, takes every length bound
- * and capacity through PyNumber_Index.
+ * class of a level in one class_ctx, whose one sink, add_child, puts each
+ * child into the caller's visited dict.  One reader, load_bound, takes
+ * every length bound and capacity through PyNumber_Index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -273,21 +273,21 @@ done:
 typedef int (*product_sink)(void *ctx, const long *c, Py_ssize_t n,
                             Py_ssize_t p, int eps, Py_ssize_t q);
 
+/* Longs for_each_product uses on words of ni and nj keys: a, b and b's
+ * inverse twice each, a product, least_rotation's 4(ni + nj), and one. */
+#define PRODUCT_SCRATCH(ni, nj) (7 * (ni) + 9 * (nj) + 1)
+
 /* Every canonical product of a rotation of the ni keys at a with a
  * rotation of the nj keys at b or of their inverse, in witness order, into
  * sink.  Products whose core is longer than limit are skipped, most of
  * them before they are built, by the early skip of
- * _kernel_py.expand_multiply, which states why it changes nothing. */
+ * _kernel_py.expand_multiply, which states why it changes nothing.  buf,
+ * which the caller owns, holds PRODUCT_SCRATCH(ni, nj) longs; c lies in it. */
 static int
 for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
-                 Py_ssize_t limit, product_sink sink, void *ctx)
+                 Py_ssize_t limit, product_sink sink, void *ctx, long *buf)
 {
     Py_ssize_t np = ni ? ni : 1, nq = nj ? nj : 1, m = ni < nj ? ni : nj;
-    long *buf = PyMem_New(long, 2 * ni + 4 * nj + 5 * (ni + nj) + 1);
-    if (buf == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
     /* rotation p of a starts at a2 + p, rotation q of b^eps at bs[eps] + q */
     long *a2 = buf, *bs[2] = {buf + 2 * ni, buf + 2 * ni + 2 * nj};
     long *w = buf + 2 * ni + 4 * nj, *rot = w + ni + nj;
@@ -315,14 +315,11 @@ for_each_product(const long *a, Py_ssize_t ni, const long *b, Py_ssize_t nj,
                 if (n > limit)
                     continue;
                 if (sink(ctx, n ? least_rotation(w + i, n, rot) : w, n,
-                         p, e ? -1 : 1, q) < 0) {
-                    PyMem_Free(buf);
+                         p, e ? -1 : 1, q) < 0)
                     return -1;
-                }
             }
         }
     }
-    PyMem_Free(buf);
     return 0;
 }
 
@@ -373,11 +370,13 @@ expand_multiply(PyObject *self, PyObject *args, PyObject *kwargs)
     if (a == NULL)
         return NULL;
     long *b = load_word(cj, &nj, 1);
-    PyObject *res = b ? PyDict_New() : NULL;
-    if (res != NULL && for_each_product(a, ni, b, nj, limit, witness_sink, res) < 0)
+    long *buf = b ? PyMem_New(long, PRODUCT_SCRATCH(ni, nj)) : NULL;
+    PyObject *res = buf ? PyDict_New() : b ? PyErr_NoMemory() : NULL;
+    if (res != NULL && for_each_product(a, ni, b, nj, limit, witness_sink, res, buf) < 0)
         Py_CLEAR(res);
     PyMem_Free(a);
     PyMem_Free(b);
+    PyMem_Free(buf);
     return res;
 }
 
@@ -409,44 +408,39 @@ state_rank(PyObject *state)
     return rank;
 }
 
-/* Where a class's children go.  A child that is not yet a key of the dict
- * `visited` is set there, with `parent` as its value, and appended to the
- * list `fresh`, unless the dict already holds `capacity` keys; then `full`
- * is set, and no child is added after that. */
+/* A level being expanded, one class of it at a time.  A child that is not
+ * yet a key of the dict `visited` is set there, with the class `parent` as
+ * its value, and appended to the list `fresh`, unless the dict already
+ * holds `capacity` keys; then `full` is set, and no child is added after
+ * that.  The rest describes `parent` while expand_into runs on it: its
+ * bytes, rank and total length, its relators' keys at the offsets of their
+ * bytes, the start and length of each relator there, the relator a
+ * product replaces (-1: none), and the buffer a child is packed into. */
 typedef struct {
     PyObject *visited, *parent, *fresh;
     Py_ssize_t capacity;
     int full;
-} child_table;
-
-/* A packed class being expanded: its bytes, rank and total length, its
- * relators' keys at the offsets of their bytes, the start and length of
- * each relator there, the relator a product replaces (-1: none), the
- * buffer a child is packed into, and the table its children go to. */
-typedef struct {
     const unsigned char *s;
     Py_ssize_t rank, total;
     long *keys;
     Py_ssize_t *start, *len, skip;
     unsigned char *out;
-    child_table *table;
 } class_ctx;
 
-/* Adds the packed child in x->out[0..size) to the class's table. */
+/* Adds the packed child in x->out[0..size) to the level's visited dict. */
 static int
 add_child(class_ctx *x, Py_ssize_t size)
 {
-    child_table *t = x->table;
-    if (t->full)
+    if (x->full)
         return 0;
     PyObject *child = PyBytes_FromStringAndSize((const char *)x->out, size);
     if (child == NULL)
         return -1;
-    int seen = PyDict_Contains(t->visited, child);
-    if (seen == 0 && PyDict_GET_SIZE(t->visited) >= t->capacity)
-        t->full = 1;
-    else if (seen == 0 && (PyDict_SetItem(t->visited, child, t->parent) < 0
-                           || PyList_Append(t->fresh, child) < 0))
+    int seen = PyDict_Contains(x->visited, child);
+    if (seen == 0 && PyDict_GET_SIZE(x->visited) >= x->capacity)
+        x->full = 1;
+    else if (seen == 0 && (PyDict_SetItem(x->visited, child, x->parent) < 0
+                           || PyList_Append(x->fresh, child) < 0))
         seen = -1;
     Py_DECREF(child);
     return seen < 0 ? -1 : 0;
@@ -556,19 +550,19 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
     return add_child(x, size);
 }
 
-/* Adds the children of the packed class `state` to the table t, in the
- * order of _kernel_py.expand_class: the one enumeration of a class's
- * children, which expand_level runs on each class of a level.  Its twin
- * makes all of a class's children before it returns any, so the state
- * and the generators its children would name are checked before the
- * first child is added. */
+/* Adds the children of the packed class x->parent to the level's visited
+ * dict, in the order of _kernel_py.expand_class: the one enumeration of a
+ * class's children, which expand_level runs on each class of a level.  Its
+ * twin makes all of a class's children before it returns any, so the state
+ * and the generators its children would name are checked before the first
+ * child is added. */
 static int
-expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
+expand_into(class_ctx *x, Py_ssize_t max_len, int extended)
 {
-    Py_ssize_t rank = state_rank(state);
+    Py_ssize_t rank = state_rank(x->parent);
     if (rank < 0)
         return -1;
-    Py_ssize_t size = PyBytes_GET_SIZE(state);
+    Py_ssize_t size = PyBytes_GET_SIZE(x->parent);
     /* any negative bound admits the same children; -1 keeps budgets from wrapping */
     if (max_len < -1)
         max_len = -1;
@@ -582,42 +576,44 @@ expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
                      rank, MAX_PACKED_GENERATOR);
         return -1;
     }
-    class_ctx x = {(const unsigned char *)PyBytes_AS_STRING(state), rank, size - rank};
+    x->s = (const unsigned char *)PyBytes_AS_STRING(x->parent);
+    x->rank = rank;
+    x->total = size - rank;
     int ok = 0;
-    x.table = t;
-    x.start = PyMem_New(Py_ssize_t, 2 * rank + 1);
-    x.keys = PyMem_New(long, size + 1);
-    long *work = extended ? PyMem_New(long, 12 * x.total + 1) : NULL;
+    x->start = PyMem_New(Py_ssize_t, 2 * rank + 1);
+    /* the keys, then scratch that the products and then add_basis_child use in
+     * turn: no relator holds more than total keys, and 12 total + 1 fits */
+    x->keys = PyMem_New(long, size + 1 + PRODUCT_SCRATCH(x->total, x->total));
     relator_entry *e = extended ? PyMem_New(relator_entry, rank + 1) : NULL;
-    x.out = PyMem_Malloc(2 * size + 3);
-    if (x.start == NULL || x.keys == NULL || x.out == NULL
-        || (extended && (work == NULL || e == NULL))) {
+    x->out = PyMem_Malloc(2 * size + 3);
+    if (x->start == NULL || x->keys == NULL || x->out == NULL || (extended && e == NULL)) {
         PyErr_NoMemory();
         goto done;
     }
-    x.len = x.start + rank;
+    long *scratch = x->keys + size + 1;
+    x->len = x->start + rank;
     for (Py_ssize_t r = 0, i = 0; r < rank; r++) {
-        for (x.start[r] = i; x.s[i]; i++)
-            x.keys[i] = (long)x.s[i] - 1;
-        x.len[r] = i++ - x.start[r];
+        for (x->start[r] = i; x->s[i]; i++)
+            x->keys[i] = (long)x->s[i] - 1;
+        x->len[r] = i++ - x->start[r];
     }
 
-    for (x.skip = 0; x.skip < rank; x.skip++) {
-        Py_ssize_t ni = x.len[x.skip], budget = max_len - (x.total - ni);
+    for (x->skip = 0; x->skip < rank; x->skip++) {
+        Py_ssize_t ni = x->len[x->skip], budget = max_len - (x->total - ni);
         for (Py_ssize_t j = 0; j < rank; j++)
-            if (j != x.skip && x.len[j] > 0 &&
-                for_each_product(x.keys + x.start[x.skip], ni, x.keys + x.start[j], x.len[j],
-                                 budget, class_sink, &x) < 0)
+            if (j != x->skip && x->len[j] > 0 &&
+                for_each_product(x->keys + x->start[x->skip], ni, x->keys + x->start[j],
+                                 x->len[j], budget, class_sink, x, scratch) < 0)
                 goto done;
     }
-    if (x.total + 1 <= max_len) {
+    if (x->total + 1 <= max_len) {
         long key = 2 * (long)rank;
-        x.skip = -1;
-        if (class_sink(&x, &key, 1, 0, 0, 0) < 0)
+        x->skip = -1;
+        if (class_sink(x, &key, 1, 0, 0, 0) < 0)
             goto done;
     }
     for (Py_ssize_t r = 0; rank > 1 && r < rank; r++)
-        if (x.len[r] == 1 && add_destabilization(&x, r, size) < 0)
+        if (x->len[r] == 1 && add_destabilization(x, r, size) < 0)
             goto done;
     if (extended) {
         /* each change is set on the identity and undone after its child */
@@ -630,14 +626,14 @@ expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
             m.len[i] = 2;    /* g_i -> g_i g_j, then g_i -> g_i g_j^-1, for each j */
             for (long c = 0; c < 2 * rank; c++) {
                 m.img[i][1] = c;
-                if (c >> 1 != i && add_basis_child(&x, &m, max_len, work, e) < 0)
+                if (c >> 1 != i && add_basis_child(x, &m, max_len, scratch, e) < 0)
                     goto done;
             }
             m.len[i] = 1;
         }
         for (long i = 0; i < rank; i++) {
             m.img[i][0] = 2 * i + 1;    /* g_i -> g_i^-1 */
-            if (add_basis_child(&x, &m, max_len, work, e) < 0)
+            if (add_basis_child(x, &m, max_len, scratch, e) < 0)
                 goto done;
             m.img[i][0] = 2 * i;
         }
@@ -645,7 +641,7 @@ expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
             for (long j = i + 1; j < rank; j++) {
                 m.img[i][0] = 2 * j;    /* g_i <-> g_j */
                 m.img[j][0] = 2 * i;
-                if (add_basis_child(&x, &m, max_len, work, e) < 0)
+                if (add_basis_child(x, &m, max_len, scratch, e) < 0)
                     goto done;
                 m.img[i][0] = 2 * i;
                 m.img[j][0] = 2 * j;
@@ -653,11 +649,10 @@ expand_into(PyObject *state, Py_ssize_t max_len, int extended, child_table *t)
     }
     ok = 1;
 done:
-    PyMem_Free(x.start);
-    PyMem_Free(x.keys);
-    PyMem_Free(work);
+    PyMem_Free(x->start);
+    PyMem_Free(x->keys);
     PyMem_Free(e);
-    PyMem_Free(x.out);
+    PyMem_Free(x->out);
     return ok ? 0 : -1;
 }
 
@@ -675,38 +670,38 @@ expand_level(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int extended;
     Py_ssize_t max_len;
-    child_table t = {NULL, NULL, NULL, 0, 0};
+    class_ctx x = {NULL};
     if (nargs != 5) {
         PyErr_Format(PyExc_TypeError,
                      "expand_level() takes 5 positional arguments but %zd were given", nargs);
         return NULL;
     }
     PyObject *frontier = args[0];
-    t.visited = args[1];
+    x.visited = args[1];
     if ((extended = PyObject_IsTrue(args[3])) < 0 || load_bound(args[2], &max_len) < 0
-        || load_bound(args[4], &t.capacity) < 0)
+        || load_bound(args[4], &x.capacity) < 0)
         return NULL;
     if (!PyList_CheckExact(frontier))
         return PyErr_Format(PyExc_TypeError, "a frontier must be a list, got %R", frontier);
-    if (!PyDict_CheckExact(t.visited))
+    if (!PyDict_CheckExact(x.visited))
         return PyErr_Format(PyExc_TypeError, "a visited table must be a dict, got %R",
-                            t.visited);
-    t.fresh = PyList_New(0);
-    if (t.fresh == NULL)
+                            x.visited);
+    x.fresh = PyList_New(0);
+    if (x.fresh == NULL)
         return NULL;
-    for (Py_ssize_t i = 0; !t.full && i < PyList_GET_SIZE(frontier); i++) {
+    for (Py_ssize_t i = 0; !x.full && i < PyList_GET_SIZE(frontier); i++) {
         /* held: a key's __eq__ may change the list while the class is expanded */
-        t.parent = PyList_GET_ITEM(frontier, i);
-        Py_INCREF(t.parent);
-        int rc = expand_into(t.parent, max_len, extended, &t);
-        Py_DECREF(t.parent);
+        x.parent = PyList_GET_ITEM(frontier, i);
+        Py_INCREF(x.parent);
+        int rc = expand_into(&x, max_len, extended);
+        Py_DECREF(x.parent);
         if (rc < 0) {
-            Py_DECREF(t.fresh);
+            Py_DECREF(x.fresh);
             return NULL;
         }
     }
-    PyObject *out = PyTuple_Pack(2, t.fresh, t.full ? Py_True : Py_False);
-    Py_DECREF(t.fresh);
+    PyObject *out = PyTuple_Pack(2, x.fresh, x.full ? Py_True : Py_False);
+    Py_DECREF(x.fresh);
     return out;
 }
 

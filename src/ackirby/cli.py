@@ -532,6 +532,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:   # every library error is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE
+    except RecursionError as exc:   # JSON input nested past the recursion limit
+        print("error: input nested too deeply: %s" % exc, file=sys.stderr)
+        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

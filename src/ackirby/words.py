@@ -7,7 +7,8 @@ letters; the empty Word is the identity.
 Text form: lowercase letters are generators, uppercase their inverses.
 x, y, z name generators 1, 2, 3; the remaining letters a..w name
 generators 4..26 (a=4, b=5, ..., w=26); `g` followed by digits is the
-escaped form for any index (g1, g2, ...).  Whitespace is ignored.
+escaped form for any index (g1, g2, ...).  Whitespace is ignored.  The
+text is ASCII: any other character is unknown.
 """
 
 from ackirby import _kernel
@@ -209,6 +210,10 @@ def parse_word(text):
     >>> parse_word("g12 G12")
     Word('')
     """
+    if not text.isascii():
+        # str methods below would read non-ASCII letters, digits and spaces too
+        raise WordError("unknown character %r in word text"
+                        % (next(ch for ch in text if not ch.isascii()),))
     letters = []
     i, n = 0, len(text)
     while i < n:

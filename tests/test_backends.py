@@ -542,6 +542,8 @@ def test_compiled_kernel_does_not_leak(ck):
     a, b, c = 300, 301, 302
     rels = [(a, b, -a), (c,), (a, a, -b), (c,)]
     frontier = [LEVEL_START, pk.pack_state([(1,), (1, -2, -2)])]
+    large = pk.pack_state([(2, -4, 2, -4, -3, -3), (1, 3, -1, -2, -2, 3, -1, 2),
+                           (1, 4, 2, 4, -1, -4, -2, -2), (1, 2, -1, -3, 2, 4, 4, -3, 4, 4, 1, -3)])
 
     def level(frontier, seeded, max_len, extended, capacity):
         """expand_level on a copy of the table, so that each call adds
@@ -563,6 +565,9 @@ def test_compiled_kernel_does_not_leak(ck):
         (level, (frontier, {LEVEL_START: None}, 6, True, 10**6)),
         (level, (frontier, {LEVEL_START: None}, 6, True, 4)),
         (level, ([LEVEL_START, b"\x01", LEVEL_START], {}, 6, False, 10**6)),
+        # a class of 34 letters, larger than the ones above: its products
+        # run past the bound, the stabilization and 11 basis changes fit
+        (level, ([large], {}, 35, True, 10**6)),
     )
     for fn, args in calls:
         watched = list(args) + [r for arg in args if isinstance(arg, list) for r in arg]
@@ -658,6 +663,22 @@ for _ in range(int(sys.argv[4])):
         assert outcome(ck.expand_level, level, vc, b, extended, cap) == \\
             outcome(pk.expand_level, level, vp, b, extended, cap), (level, b, cap)
         assert list(vc.items()) == list(vp.items()), (level, b, cap)
+
+# A fixed class of 4 relators of about 30 letters, past the 28 letters a
+# drawn class holds at most: with a bound of twice its total every
+# product is kept, so the product scratch is written to its end.
+fixed = random.Random(0)
+rels = []
+while len(rels) < 4:
+    w = ()
+    while len(w) < 30:
+        w = pk.reduce_word(w + (fixed.choice((1, -1)) * fixed.choice((1, 2, 3, 4)),))
+    rels.append(pk.canonical_relator(w))
+big = pk.pack_state(pk.sort_relators(rels))
+for extended in (False, True):
+    b = 2 * (len(big) - len(rels))
+    assert ck.expand_level([big], {}, b, extended, 10**6) == \\
+        (pk.expand_class(big, b, extended), False), extended
 print("ok")
 """ % MAX_GENERATOR
 

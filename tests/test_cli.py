@@ -51,6 +51,11 @@ class TestWordCommands:
         assert r.returncode == 1
         assert "error:" in r.stderr
 
+    def test_non_ascii_letter_is_input_error(self):
+        r = run("word", "reduce", "x\u0130")
+        assert r.returncode == 1
+        assert r.stderr == "error: unknown character '\u0130' in word text\n"
+
     def test_unknown_op_is_usage_error(self):
         assert run("word", "frobnicate", "xy").returncode == 2
 
@@ -150,6 +155,27 @@ class TestPresCommands:
         assert r.returncode == 1
         last = r.stderr.splitlines()[-1]
         assert last.startswith("error: malformed multiply_by_conjugate move record"), last
+
+    @pytest.mark.parametrize("command", ("pres_apply", "verify", "search_prefix"))
+    def test_deeply_nested_record_is_input_error(self, tmp_path, command):
+        """A move record nested past the recursion limit is refused with
+        one error line.  The text is built by concatenation, since a
+        recursive json.dumps would hit the same limit."""
+        depth = 2000
+        move = ('{"type": "composite", "moves": [' * depth + '{"type": "stabilize"}'
+                + "]}" * depth)
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"start": {"rank": 2, "relators": ["xY", "y"]}, "moves": [%s]}'
+                        % move)
+        argv = {"pres_apply": ("pres", "apply", "--pres", "2; xY; y", "--moves", "-"),
+                "verify": ("verify", "--cert", str(cert)),
+                "search_prefix": ("search", "--pres", "2; xY; y", "--prefix", str(cert),
+                                  "--max-len", "8", "--max-depth", "4")}[command]
+        r = run(*argv, stdin="[%s]" % move)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1, r.stderr[-2000:]
+        assert r.stderr.startswith("error: input nested too deeply")
 
 
 class TestSearchCommand:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,18 @@ class TestParseFormat:
     def test_unknown_character(self):
         with pytest.raises(WordError):
             parse_word("x?")
+
+    @pytest.mark.parametrize("text, bad", [
+        ("x\u0130", "\u0130"),   # dotted I: lowercases to two characters
+        ("x\u212a", "\u212a"),   # Kelvin sign: lowercases to ASCII k
+        ("g\u0661", "\u0661"),   # Arabic-Indic digit one
+        ("g\u00b2", "\u00b2"),   # superscript two: a digit int() rejects
+        ("x\u00a0y", "\u00a0"),  # no-break space
+        ("\u0101", "\u0101"),    # a with macron
+    ])
+    def test_only_ascii_is_read(self, text, bad):
+        with pytest.raises(WordError, match=re.escape("unknown character %r" % bad)):
+            parse_word(text)
 
     def test_escape_overflow(self):
         with pytest.raises(WordError):

@@ -551,11 +551,11 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
 }
 
 /* Adds the children of the packed class x->parent to the level's visited
- * dict, in the order of _kernel_py.expand_class: the one enumeration of a
- * class's children, which expand_level runs on each class of a level.  Its
- * twin makes all of a class's children before it returns any, so the state
- * and the generators its children would name are checked before the first
- * child is added. */
+ * dict, in the order of _kernel_py._expand_class: the one enumeration of a
+ * class's children, which expand_level runs on each class of a level, as
+ * the twin's expand_level runs _expand_class.  The twin makes all of a
+ * class's children before it adds any, so the state and the generators its
+ * children would name are checked before the first child is added. */
 static int
 expand_into(class_ctx *x, Py_ssize_t max_len, int extended)
 {

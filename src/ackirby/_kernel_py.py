@@ -28,12 +28,12 @@ the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
 Byte order is key order, so comparing two relators' bytes compares
 their keys.  `_state_parts`, the one state reader here, checks a packed
 state as the compiled `state_rank` does, and splits it into relators for
-`unpack_state` and `expand_class`, which takes a packed class to its
+`unpack_state` and `_expand_class`, which takes a packed class to its
 packed children: the strict-move children, then, in the extended regime,
-those of the generator basis changes.  `expand_level` runs expand_class
+those of the generator basis changes.  `expand_level`, the one way into
+either kernel's enumeration of a class's children, runs `_expand_class`
 on each class of a search level and deduplicates the children into the
-search's visited table.  The compiled twin has no `expand_class`: its
-one enumeration of a class's children is reached through `expand_level`.
+search's visited table.
 
 The functions that take a length bound or a capacity read it through
 `operator.index`, as the compiled twin does through `PyNumber_Index`, so
@@ -267,11 +267,12 @@ def _basis_changes(rank):
                 yield {a: (b,), b: (a,)}
 
 
-def expand_class(state, max_len, extended=False, /):
+def _expand_class(state, max_len, extended):
     """Packed child classes of the packed class `state` under the strict
     moves, and with `extended` true also under the generator basis
     changes, within total length max_len: each distinct child once, at
-    its first occurrence in this order.
+    its first occurrence in this order.  Its one caller, expand_level,
+    has read `extended` and max_len already.
 
     First the multiplications: for each relator i, then each nonempty
     relator j != i, the children of expand_multiply(ci, cj, budget) in
@@ -288,11 +289,7 @@ def expand_class(state, max_len, extended=False, /):
     for each i < j.  Each one replaces every letter of every relator by
     its image, freely reduces and canonicalizes each relator and sorts
     the relators; the child is kept if its total length fits.
-
-    `extended` is read by truth value, then max_len by operator.index,
-    then the state: the order in which expand_level reads them.
     """
-    extended, max_len = bool(extended), operator.index(max_len)
     parts = _state_parts(state)
     rank = len(parts)
     total = len(state) - rank
@@ -347,7 +344,7 @@ def expand_class(state, max_len, extended=False, /):
 def expand_level(frontier, visited, max_len, extended, capacity, /):
     """Expand one search level into the visited table: the children of
     each packed class of the list `frontier`, in turn, by
-    expand_class(parent, max_len, extended), that the dict `visited` does
+    _expand_class(parent, max_len, extended), that the dict `visited` does
     not hold yet.  Each is set there with its parent as value and appended
     to `fresh`, unless `visited` already holds `capacity` keys; then the
     level stops.  Returns (fresh, full), full true if the level stopped
@@ -356,9 +353,9 @@ def expand_level(frontier, visited, max_len, extended, capacity, /):
 
     `extended` is read by truth value, then max_len and capacity by
     operator.index, then the types of frontier and visited, which is the
-    compiled kernel's order; each parent is read as expand_class reads
-    it, when its turn comes, so the children of the parents before a
-    malformed one stay in `visited`.
+    compiled kernel's order; each parent is read by _state_parts when its
+    turn comes, so the children of the parents before a malformed one
+    stay in `visited`.
     """
     extended, max_len = bool(extended), operator.index(max_len)
     capacity = operator.index(capacity)
@@ -368,7 +365,7 @@ def expand_level(frontier, visited, max_len, extended, capacity, /):
         raise TypeError("a visited table must be a dict, got %r" % (visited,))
     fresh = []
     for parent in frontier:
-        for child in expand_class(parent, max_len, extended):
+        for child in _expand_class(parent, max_len, extended):
             if child in visited:
                 continue
             if len(visited) >= capacity:

@@ -236,7 +236,10 @@ _OUTCOME_EXIT = {"found": EXIT_OK, "exhausted": EXIT_NEGATIVE,
 
 def _emit_outcome(args, start, cfg, outcome):
     """Print a search outcome in the one form asked for; the other is
-    not built."""
+    not built.  A found certificate asked for by --cert-out is written
+    first, so a path that cannot be written prints no outcome."""
+    if args.cert_out and outcome.found:
+        _write_cert(args.cert_out, outcome.certificate)
     if args.format == "json":
         print(_dump({
             "command": "search",
@@ -260,8 +263,6 @@ def _emit_outcome(args, start, cfg, outcome):
             print("moves: %d" % len(outcome.certificate.moves))
             for k, move in enumerate(outcome.certificate.moves, 1):
                 print("move %d: %s" % (k, _move_brief(move)))
-    if args.cert_out and outcome.found:
-        _write_cert(args.cert_out, outcome.certificate)
     return _OUTCOME_EXIT[outcome.status]
 
 

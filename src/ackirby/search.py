@@ -18,7 +18,7 @@ A class is keyed by its packed state: the `bytes` string that
 trivial classes.  The visited table maps each key to its parent's key,
 and the search expands a whole level by one kernel call in either
 regime, `_kernel.expand_level`, which enumerates the children of each
-class of the frontier, as `_kernel_py.expand_class` states them, and
+class of the frontier, as `_kernel_py.expand_level` orders them, and
 inserts the new ones, packed, into the visited table; `_kernel` says
 which kernel functions are compiled and `_kernel_py` what they compute.
 A start of rank r searched within total length L reaches no generator

@@ -7,8 +7,9 @@ letters; the empty Word is the identity.
 Text form: lowercase letters are generators, uppercase their inverses.
 x, y, z name generators 1, 2, 3; the remaining letters a..w name
 generators 4..26 (a=4, b=5, ..., w=26); `g` followed by digits is the
-escaped form for any index (g1, g2, ...).  Whitespace is ignored.  The
-text is ASCII: any other character is unknown.
+escaped form for any index (g1, g2, ...).  Whitespace (space, tab, LF,
+CR, VT, FF) is ignored.  The text is ASCII: any other character is
+unknown.
 """
 
 from ackirby import _kernel
@@ -218,7 +219,7 @@ def parse_word(text):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in " \t\n\r\v\f":    # not str.isspace, which holds for \x1c-\x1f too
             i += 1
             continue
         low = ch.lower()

@@ -10,7 +10,7 @@ the selection and whole-search tests run fresh interpreters on the
 built package.  The fallback from an incomplete or stale compiled
 kernel, and the budget, relator-order and packed-state tests at the
 end, need no compiler: the latter run on whichever kernel
-`ackirby._kernel` selected, and the last one on the pure kernel alone.
+`ackirby._kernel` selected.
 """
 
 import collections
@@ -91,10 +91,11 @@ def outcome(fn, *args):
 
 
 def reference_level(frontier, visited, max_len, extended, capacity):
-    """expand_level written out as a loop over pk.expand_class."""
+    """expand_level written out as a loop over the pure kernel's per-class
+    helper, pk._expand_class, for an int max_len and a bool extended."""
     fresh = []
     for parent in frontier:
-        for child in pk.expand_class(parent, max_len, extended):
+        for child in pk._expand_class(parent, max_len, extended):
             if child in visited:
                 continue
             if len(visited) >= capacity:
@@ -110,8 +111,9 @@ UNCAPPED = sys.maxsize
 
 def class_children(kernel, state, max_len, extended=False):
     """The children of one class by kernel.expand_level: a one-class
-    frontier, an empty table and a capacity past the class.  On either
-    kernel that is pk.expand_class(state, max_len, extended)."""
+    frontier, an empty table and a capacity past the class.  This is the
+    one way into either kernel's enumeration of a class's children, so
+    tests compare the kernels on one class through it."""
     fresh, full = kernel.expand_level([state], {}, max_len, extended, UNCAPPED)
     assert not full
     return fresh
@@ -154,7 +156,7 @@ def levels(draw):
         max_len, extended = draw(st.integers(min_value=-2, max_value=14)), draw(st.booleans())
         children = []
         for parent in frontier:
-            got = outcome(pk.expand_class, parent, max_len, extended)
+            got = outcome(pk._expand_class, parent, max_len, extended)
             children += got if isinstance(got, list) else []
         visited = dict.fromkeys(draw(st.lists(st.sampled_from(children), max_size=4))
                                 if children else ())
@@ -348,7 +350,7 @@ class TestFunctionParity:
         regimes, including states whose relators are not canonical or not
         in canonical order."""
         for extended in (False, True):
-            assert outcome(pk.expand_class, state, max_len, extended) == \
+            assert outcome(class_children, pk, state, max_len, extended) == \
                 outcome(class_children, ck, state, max_len, extended)
 
     @settings(max_examples=300, deadline=None)
@@ -359,13 +361,13 @@ class TestFunctionParity:
     @example(((1,), (2,), (3,), (1, -2)), 6, False)
     def test_expand_class(self, ck, rels, max_len, extended):
         state = pk.pack_state(rels)
-        assert pk.expand_class(state, max_len, extended) == \
+        assert class_children(pk, state, max_len, extended) == \
             class_children(ck, state, max_len, extended)
 
     @settings(max_examples=300, deadline=None)
     @given(levels())
     def test_expand_level(self, ck, level):
-        """Both kernels expand a level as the loop over pk.expand_class
+        """Both kernels expand a level as the loop over pk._expand_class
         does: the same fresh children, the same `full` or error, and the
         same visited items in the same order, so a child that an earlier
         parent of the level produced keeps that parent."""
@@ -387,14 +389,14 @@ class TestFunctionParity:
               b"\xff\x00", b"\x01\x00\xff\x00"),
     ids=("no_final_zero", "letters_after_zero", "bytearray", "str",
          "generator_128", "generator_128_second"))
-@pytest.mark.parametrize("read", (pk.unpack_state, lambda s: pk.expand_class(s, 6)),
+@pytest.mark.parametrize("read", (pk.unpack_state, lambda s: class_children(pk, s, 6)),
                          ids=("unpack_state", "expand_class"))
 def test_malformed_state_fails_alike(ck, read, state):
     """The compiled state reader rejects a packed state that is not bytes,
     does not end with a 0 byte, or names generator 128 (byte 255), with
     the same exception type and message as each pure one: `unpack_state`,
-    the codec both backends share, and `expand_class`.  It does so in both
-    regimes."""
+    the codec both backends share, and the pure kernel's enumeration of a
+    class's children.  It does so in both regimes."""
     want = outcome(read, state)
     assert want[0] in (TypeError, ValueError)
     assert outcome(class_children, ck, state, 6) == \
@@ -427,11 +429,9 @@ def test_extended_read_alike(ck, extended):
     """Both kernels take `extended` by its truth value, and by position
     only."""
     state = pk.pack_state([(1,), (1, 2)])
-    want = pk.expand_class(state, 6, bool(extended))
-    assert class_children(ck, state, 6, extended) == pk.expand_class(state, 6, extended) == want
-    with pytest.raises(TypeError):
-        pk.expand_class(state, 6, extended=extended)
+    want = class_children(pk, state, 6, bool(extended))
     for kernel in (pk, ck):
+        assert class_children(kernel, state, 6, extended) == want
         with pytest.raises(TypeError):
             kernel.expand_level([state], {}, 6, extended=extended, capacity=UNCAPPED)
 
@@ -441,10 +441,10 @@ def test_basis_changes_need_a_packable_rank(ck):
     """Above rank 127 the basis changes name generators that a packed
     class does not hold; both kernels refuse them alike."""
     state = b"\0" * 128
-    want = outcome(pk.expand_class, state, 0, True)
+    want = outcome(class_children, pk, state, 0, True)
     assert want == (OverflowError, "basis changes at rank 128 name generators above 127")
     assert outcome(class_children, ck, state, 0, True) == want
-    assert class_children(ck, state, 0) == pk.expand_class(state, 0) == []
+    assert class_children(ck, state, 0) == class_children(pk, state, 0) == []
 
 
 LEVEL_START = pk.pack_state([(1,), (2, 2)])
@@ -648,14 +648,14 @@ for _ in range(int(sys.argv[4])):
     state = pk.pack_state(rels)
     b = rng.randrange(-2, 25)
     raw = bytes(rng.randrange(256) for _ in range(rng.randrange(12))) + b"\\0"
-    # one class, on an empty table: the children of pk.expand_class
+    # one class, on an empty table: the children of pk._expand_class
     for one, extended in itertools.product((state, raw), (False, True)):
         assert outcome(ck.expand_level, [one], {}, b, extended, 10**6) == \\
-            outcome(lambda: (pk.expand_class(one, b, extended), False)), (one, b)
+            outcome(lambda: (pk._expand_class(one, b, extended), False)), (one, b)
     # a level, a level that fills the table, and one whose second state is
     # malformed: the same result and the same table on both kernels
     frontier = [state, pk.pack_state(pk.sort_relators(rels[1:]))]
-    seeded = dict.fromkeys([state] + pk.expand_class(state, b)[:rng.randrange(3)])
+    seeded = dict.fromkeys([state] + pk._expand_class(state, b, False)[:rng.randrange(3)])
     extended = rng.random() < 0.5
     for level, cap in ((frontier, 10**6), (frontier, len(seeded) + rng.randrange(4)),
                        ([state, raw + b"\\x01", state], 10**6)):
@@ -678,7 +678,7 @@ big = pk.pack_state(pk.sort_relators(rels))
 for extended in (False, True):
     b = 2 * (len(big) - len(rels))
     assert ck.expand_level([big], {}, b, extended, 10**6) == \\
-        (pk.expand_class(big, b, extended), False), extended
+        (pk._expand_class(big, b, extended), False), extended
 print("ok")
 """ % MAX_GENERATOR
 
@@ -725,15 +725,14 @@ def test_kernels_expose_same_functions(ck):
     re-exported by the selecting module, fails here; so does any function
     beyond the five hot-path ones, `invert_word` and the packed-state
     codec, which only the pure kernel defines and `_kernel` takes from it
-    on both backends.  The pure kernel alone also defines `expand_class`,
-    the statement of one class's children that its `expand_level` loops
-    over."""
+    on both backends.  The pure kernel exports exactly what `_kernel`
+    takes from it: each kernel is entered only as the search enters it."""
     hot = ["canonical_relator", "expand_level", "expand_multiply", "reduce_word",
            "sort_relators"]
     assert _public_functions(ck) == hot
     kernel = sorted(hot + ["invert_word", "pack_state", "unpack_state"])
     assert _public_functions(_kernel) == kernel
-    assert _public_functions(pk) == sorted(kernel + ["expand_class"])
+    assert _public_functions(pk) == _public_functions(_kernel)
     assert _kernel.invert_word is pk.invert_word
     assert _kernel.pack_state is pk.pack_state and _kernel.unpack_state is pk.unpack_state
     assert _kernel.MAX_PACKED_GENERATOR == ck.MAX_PACKED_GENERATOR == 127
@@ -821,8 +820,3 @@ def test_generator_128_does_not_pack(letter):
     # a stabilization of a rank-127 class would add generator 128
     with pytest.raises(OverflowError, match="above 127"):
         class_children(_kernel, _kernel.pack_state([()] * 127), 1)
-
-
-def test_pure_expand_class_checks_state():
-    with pytest.raises(ValueError, match="must end with a 0 byte"):
-        pk.expand_class(b"\x01", 5)

@@ -56,6 +56,11 @@ class TestWordCommands:
         assert r.returncode == 1
         assert r.stderr == "error: unknown character '\u0130' in word text\n"
 
+    def test_ascii_separator_is_input_error(self):
+        r = run("word", "reduce", "x\x1cy")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: unknown character '\\x1c' in word text\n"
+
     def test_unknown_op_is_usage_error(self):
         assert run("word", "frobnicate", "xy").returncode == 2
 
@@ -291,6 +296,16 @@ class TestSearchCommand:
         v = run("verify", "--cert", str(out))
         assert v.returncode == 0
         assert "ok: yes" in v.stdout
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_unwritable_cert_out_prints_no_outcome(self, tmp_path, fmt):
+        """The certificate is written before the outcome is printed, so a
+        found search whose --cert-out cannot be written prints only the
+        error."""
+        r = run("search", "--pres", "2; xY; y", "--max-len", "8", "--max-depth", "4",
+                "--format", fmt, "--cert-out", str(tmp_path / "missing" / "c.json"))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
     def test_prefix_closes_remaining_gap(self, tmp_path):
         doc = {"start": {"rank": 2, "relators": ["xY", "y"]},

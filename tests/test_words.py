@@ -49,6 +49,15 @@ class TestParseFormat:
 
     def test_whitespace_ignored(self):
         assert parse_word("x y\tX") == parse_word("xyX")
+        for ch in " \t\n\r\v\f":
+            assert parse_word("x%sy" % ch) == parse_word("xy"), repr(ch)
+
+    @pytest.mark.parametrize("ch", ("\x1c", "\x1d", "\x1e", "\x1f"))
+    def test_ascii_separators_are_unknown(self, ch):
+        """str.isspace holds for the ASCII separators, but they are not
+        whitespace in word text."""
+        with pytest.raises(WordError, match=re.escape("unknown character %r" % ch)):
+            parse_word("x%sy" % ch)
 
     def test_escaped_generators(self):
         assert parse_word("g7G7").letters == ()

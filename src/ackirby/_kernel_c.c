@@ -17,12 +17,13 @@
  *
  * One reader, state_rank, checks a packed state as _kernel_py._state_parts
  * does and counts its relators for expand_into, the one enumeration of a
- * class's children, which writes them packed through the product loop that
- * expand_multiply uses and, in the extended regime, through
- * add_basis_child.  expand_level, its one entry point, runs it on each
- * class of a level in one class_ctx, whose one sink, add_child, puts each
- * child into the caller's visited dict.  One reader, load_bound, takes
- * every length bound and capacity through PyNumber_Index.
+ * class's children: it refuses a class before its first child, then packs
+ * each child, in one scratch block, through the product loop that
+ * expand_multiply uses and, in the extended regime, add_basis_child.
+ * expand_level, its one entry point, runs it on each class of a level in
+ * one class_ctx, whose one sink, add_child, puts each child straight into
+ * the caller's visited dict.  One reader, load_bound, takes every length
+ * bound and capacity through PyNumber_Index.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -551,11 +552,9 @@ add_basis_child(class_ctx *x, const basis_change *m, Py_ssize_t max_len,
 }
 
 /* Adds the children of the packed class x->parent to the level's visited
- * dict, in the order of _kernel_py._expand_class: the one enumeration of a
- * class's children, which expand_level runs on each class of a level, as
- * the twin's expand_level runs _expand_class.  The twin makes all of a
- * class's children before it adds any, so the state and the generators its
- * children would name are checked before the first child is added. */
+ * dict one by one, in the order of _kernel_py._expand_class; as there, the
+ * state and the generators its children would name are checked before the
+ * first child. */
 static int
 expand_into(class_ctx *x, Py_ssize_t max_len, int extended)
 {
@@ -579,19 +578,23 @@ expand_into(class_ctx *x, Py_ssize_t max_len, int extended)
     x->s = (const unsigned char *)PyBytes_AS_STRING(x->parent);
     x->rank = rank;
     x->total = size - rank;
-    int ok = 0;
-    x->start = PyMem_New(Py_ssize_t, 2 * rank + 1);
-    /* the keys, then scratch that the products and then add_basis_child use in
-     * turn: no relator holds more than total keys, and 12 total + 1 fits */
-    x->keys = PyMem_New(long, size + 1 + PRODUCT_SCRATCH(x->total, x->total));
-    relator_entry *e = extended ? PyMem_New(relator_entry, rank + 1) : NULL;
-    x->out = PyMem_Malloc(2 * size + 3);
-    if (x->start == NULL || x->keys == NULL || x->out == NULL || (extended && e == NULL)) {
+    /* one block, carved most-aligned first: add_basis_child's relator entries,
+     * each relator's start and length, the keys, then scratch that the
+     * products and add_basis_child use in turn (no relator holds more than
+     * total keys, and 12 total + 1 fits), then the packed child */
+    Py_ssize_t longs = size + PRODUCT_SCRATCH(x->total, x->total);
+    relator_entry *e = PyMem_Malloc(rank * (sizeof(relator_entry) + 2 * sizeof(Py_ssize_t))
+                                    + longs * sizeof(long) + 2 * size + 3);
+    if (e == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    long *scratch = x->keys + size + 1;
+    int ok = 0;
+    x->start = (Py_ssize_t *)(e + rank);
     x->len = x->start + rank;
+    x->keys = (long *)(x->len + rank);
+    long *scratch = x->keys + size;
+    x->out = (unsigned char *)(x->keys + longs);
     for (Py_ssize_t r = 0, i = 0; r < rank; r++) {
         for (x->start[r] = i; x->s[i]; i++)
             x->keys[i] = (long)x->s[i] - 1;
@@ -649,10 +652,7 @@ expand_into(class_ctx *x, Py_ssize_t max_len, int extended)
     }
     ok = 1;
 done:
-    PyMem_Free(x->start);
-    PyMem_Free(x->keys);
     PyMem_Free(e);
-    PyMem_Free(x->out);
     return ok ? 0 : -1;
 }
 

@@ -28,12 +28,12 @@ the generators up to MAX_PACKED_GENERATOR = 127 and their inverses.
 Byte order is key order, so comparing two relators' bytes compares
 their keys.  `_state_parts`, the one state reader here, checks a packed
 state as the compiled `state_rank` does, and splits it into relators for
-`unpack_state` and `_expand_class`, which takes a packed class to its
-packed children: the strict-move children, then, in the extended regime,
-those of the generator basis changes.  `expand_level`, the one way into
-either kernel's enumeration of a class's children, runs `_expand_class`
-on each class of a search level and deduplicates the children into the
-search's visited table.
+`unpack_state` and `_expand_class`, which refuses a class it cannot
+expand before its first child, then yields its packed children: the
+strict-move children, then, in the extended regime, those of the
+generator basis changes.  `expand_level`, the one way into either
+kernel's enumeration of a class's children, runs it on each class of a
+search level and puts each new child straight into the visited table.
 
 The functions that take a length bound or a capacity read it through
 `operator.index`, as the compiled twin does through `PyNumber_Index`, so
@@ -270,9 +270,10 @@ def _basis_changes(rank):
 def _expand_class(state, max_len, extended):
     """Packed child classes of the packed class `state` under the strict
     moves, and with `extended` true also under the generator basis
-    changes, within total length max_len: each distinct child once, at
-    its first occurrence in this order.  Its one caller, expand_level,
-    has read `extended` and max_len already.
+    changes, within total length max_len, yielded in this order (a child
+    may come twice).  Its one caller, expand_level, has read `extended`
+    and max_len already.  Before the first child, OverflowError refuses
+    stabilizing past generator 127, then basis changes above rank 127.
 
     First the multiplications: for each relator i, then each nonempty
     relator j != i, the children of expand_multiply(ci, cj, budget) in
@@ -293,7 +294,12 @@ def _expand_class(state, max_len, extended):
     parts = _state_parts(state)
     rank = len(parts)
     total = len(state) - rank
-    out = {}
+    if total + 1 <= max_len and rank >= MAX_PACKED_GENERATOR:
+        raise OverflowError("stabilizing adds generator %d, above %d"
+                            % (rank + 1, MAX_PACKED_GENERATOR))
+    if extended and rank > MAX_PACKED_GENERATOR:
+        raise OverflowError("basis changes at rank %d name generators above %d"
+                            % (rank, MAX_PACKED_GENERATOR))
     keys = [tuple([b - 1 for b in part]) for part in parts]
     for i, ci in enumerate(keys):
         rest = parts[:i] + parts[i + 1:]
@@ -301,12 +307,9 @@ def _expand_class(state, max_len, extended):
         for j, cj in enumerate(keys):
             if j != i and cj:
                 for child in _products(ci, cj, budget):
-                    out[_insert(rest, bytes([k + 1 for k in child]))] = None
+                    yield _insert(rest, bytes([k + 1 for k in child]))
     if total + 1 <= max_len:
-        if rank >= MAX_PACKED_GENERATOR:
-            raise OverflowError("stabilizing adds generator %d, above %d"
-                                % (rank + 1, MAX_PACKED_GENERATOR))
-        out[_insert(parts, bytes([2 * rank + 1]))] = None    # generator rank + 1
+        yield _insert(parts, bytes([2 * rank + 1]))    # generator rank + 1
     if rank > 1:
         for i, part in enumerate(parts):
             if len(part) != 1:
@@ -315,11 +318,8 @@ def _expand_class(state, max_len, extended):
             rest = parts[:i] + parts[i + 1:]
             if any(hi in r or hi - 1 in r for r in rest):
                 continue
-            out[b"".join(bytes([b - 2 if b > hi else b for b in r]) + b"\0"
-                         for r in rest)] = None
-    if extended and rank > MAX_PACKED_GENERATOR:
-        raise OverflowError("basis changes at rank %d name generators above %d"
-                            % (rank, MAX_PACKED_GENERATOR))
+            yield b"".join(bytes([b - 2 if b > hi else b for b in r]) + b"\0"
+                           for r in rest)
     for change in _basis_changes(rank) if extended else ():
         table = {}
         for a, image in change.items():
@@ -337,19 +337,18 @@ def _expand_class(state, max_len, extended):
             child.append(bytes([k + 1 for k in _canonical(w)]))
         if sum(map(len, child)) <= max_len:
             child.sort(key=lambda part: (len(part), part))
-            out[b"".join(part + b"\0" for part in child)] = None
-    return list(out)
+            yield b"".join(part + b"\0" for part in child)
 
 
 def expand_level(frontier, visited, max_len, extended, capacity, /):
     """Expand one search level into the visited table: the children of
     each packed class of the list `frontier`, in turn, by
     _expand_class(parent, max_len, extended), that the dict `visited` does
-    not hold yet.  Each is set there with its parent as value and appended
-    to `fresh`, unless `visited` already holds `capacity` keys; then the
-    level stops.  Returns (fresh, full), full true if the level stopped
-    there.  So a child that an earlier parent of the level produced keeps
-    that parent, and a duplicate needs no room in the table.
+    not hold yet.  Each is set there as it comes, with its parent as
+    value, and appended to `fresh`, unless `visited` already holds
+    `capacity` keys; then the level stops.  Returns (fresh, full), full
+    true if the level stopped there.  So a child keeps the parent that
+    first produced it, and a duplicate needs no room in the table.
 
     `extended` is read by truth value, then max_len and capacity by
     operator.index, then the types of frontier and visited, which is the

@@ -61,11 +61,13 @@ from ackirby.search import (
     verify,
 )
 from ackirby.words import (
+    WHITESPACE,
     Word,
     cyclic_reduce,
     exponent_sums,
     format_word,
     invert,
+    parse_int,
     parse_word,
 )
 
@@ -140,7 +142,7 @@ def _yesno(flag):
 def _family_param(spec):
     try:
         if spec.startswith("n="):
-            return int(spec[2:])
+            return parse_int(spec[2:])
     except ValueError:
         pass
     raise ValueError("family spec must look like n=2, got %r" % (spec,))
@@ -161,14 +163,15 @@ def _parse_labeling(spec):
         return None
     assignment = {}
     for item in spec.split(";"):
-        item = item.strip()
+        item = item.strip(WHITESPACE)
         if not item:
             continue
         label, _, coords = item.partition("=")
-        parts = coords.split(",")
-        if len(parts) != 2:
-            raise CurveError("labeling entries look like L1=0,0 — got %r" % (item,))
-        assignment[label.strip()] = (int(parts[0]), int(parts[1]))
+        try:
+            a, b = map(parse_int, coords.split(","))
+        except ValueError:
+            raise CurveError("labeling entries look like L1=0,0 — got %r" % (item,)) from None
+        assignment[label.strip(WHITESPACE)] = (a, b)
     return PunctureLabeling(assignment)
 
 
@@ -373,10 +376,12 @@ def _cmd_curves(args):
         _emit(args, doc, [_slope_text(s) for s in slopes])
         return EXIT_OK
     # classify
-    a, sep, b = args.slope.partition("/")
-    if not sep:
-        raise CurveError("slope looks like a/b, got %r" % (args.slope,))
-    slope = Slope(int(a), int(b))
+    a, _, b = args.slope.partition("/")
+    try:
+        a, b = parse_int(a), parse_int(b)
+    except ValueError:
+        raise CurveError("slope looks like a/b, got %r" % (args.slope,)) from None
+    slope = Slope(a, b)
     sides = partition(slope, labeling)
     cand = is_candidate(slope, labeling)
     _emit_record(args, [
@@ -393,6 +398,15 @@ def _cmd_curves(args):
 # ---------------------------------------------------------------------------
 # Parser
 
+def _int_flag(text):
+    """An integer flag's value, read by parse_int; argparse reports a
+    refusal as it reports int()'s."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+
+
 def _add_format(p, default="text"):
     p.add_argument("--format", choices=("text", "json"), default=default,
                    help="output format (default %(default)s)")
@@ -401,9 +415,9 @@ def _add_format(p, default="text"):
 def _add_budget_flags(p, len_help, depth_default, depth_help="%(default)s"):
     """--max-len, --max-depth and --regime.  --max-len defaults to None,
     which the caller fills from the start presentation as `len_help` says."""
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--max-len", type=_int_flag, default=None,
                    help="total-length ceiling (default %s)" % len_help)
-    p.add_argument("--max-depth", type=int, default=depth_default,
+    p.add_argument("--max-depth", type=_int_flag, default=depth_default,
                    help="move-depth ceiling (default %s)" % depth_help)
     p.add_argument("--regime", choices=("strict", "extended"),
                    default=SearchConfig.move_regime)
@@ -428,7 +442,7 @@ def build_parser():
     p = sub.add_parser("word", help="free-group word operations")
     p.add_argument("op", choices=("reduce", "invert", "cyclic", "canon", "sums"))
     p.add_argument("word", help="word text, e.g. xyXY (uppercase = inverse)")
-    p.add_argument("--rank", type=int, default=None, help="rank for sums")
+    p.add_argument("--rank", type=_int_flag, default=None, help="rank for sums")
     _add_format(p)
     p.set_defaults(handler=_cmd_word)
 
@@ -445,13 +459,13 @@ def build_parser():
     p.add_argument("--family-w", default="yx",
                    help="conjugating word for --family (default %(default)s)")
     _add_budget_flags(p, "start+6", 24)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_flag, default=1,
                    help="recorded in the output; the search runs in one process, "
                         "so the value changes nothing")
-    p.add_argument("--capacity", type=int, default=SearchConfig.dedup_capacity,
+    p.add_argument("--capacity", type=_int_flag, default=SearchConfig.dedup_capacity,
                    help="hard limit on the classes the deduplication table holds "
                         "(default %(default)s)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_flag, default=None,
                    help="recorded in the output; the search is deterministic")
     p.add_argument("--progress", action="store_true",
                    help="print per-depth progress to stderr")
@@ -468,12 +482,12 @@ def build_parser():
     p = sub.add_parser("family", help="the built-in presentation family")
     fsub = p.add_subparsers(dest="op", required=True)
     q = fsub.add_parser("show", help="print one family member")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int_flag, required=True)
     q.add_argument("--w", default="yx", help="conjugating word (default %(default)s)")
     _add_format(q)
     q.set_defaults(handler=_cmd_family)
     q = fsub.add_parser("report", help="survey rows for n = 0..n_max")
-    q.add_argument("--n-max", type=int, required=True)
+    q.add_argument("--n-max", type=_int_flag, required=True)
     _add_budget_flags(q, "each member's start+2", None, "each member's 8")
     _add_format(q)
     q.set_defaults(handler=_cmd_family)
@@ -487,15 +501,15 @@ def build_parser():
     p.add_argument("op", choices=("slide", "blowdown", "gpr", "weakform"))
     p.add_argument("--in", dest="infile", required=True,
                    help="matrix text file ('-' = stdin)")
-    p.add_argument("--component", type=int, help="component acted on (1-based)")
-    p.add_argument("--over", type=int, help="component slid over (1-based)")
+    p.add_argument("--component", type=_int_flag, help="component acted on (1-based)")
+    p.add_argument("--over", type=_int_flag, help="component slid over (1-based)")
     p.add_argument("--sign", choices=("+", "-"), default="+")
     _add_format(p)
     p.set_defaults(handler=_cmd_kirby)
 
     p = sub.add_parser("curves", help="punctured-sphere curve enumeration")
     p.add_argument("op", choices=("enumerate", "classify"))
-    p.add_argument("--height", type=int, default=10,
+    p.add_argument("--height", type=_int_flag, default=10,
                    help="max |coordinate| of the direction (default %(default)s)")
     p.add_argument("--slope", help="slope a/b for classify; write a negative "
                                    "numerator as --slope=-1/2")

@@ -8,10 +8,12 @@ unimodular congruences, so the determinant is invariant; blow-downs
 delete a +-1-framed 2-handle and correct what it linked.
 
 Text form: first line the size, then the rows, then one line of kinds
-(`h` or `d` per component).
+(`h` or `d` per component); lines end at LF, and whitespace and integers
+are read as `ackirby.words` reads them.
 """
 
 from ackirby._intdet import integer_determinant
+from ackirby.words import WHITESPACE, parse_int, split_fields
 
 TWO_HANDLE = "h"
 DOTTED = "d"
@@ -236,11 +238,11 @@ def matrix_to_text(M):
 
 
 def parse_matrix(text):
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    lines = [ln for ln in (s.strip(WHITESPACE) for s in text.split("\n")) if ln]
     if not lines:
         raise KirbyError("empty matrix text")
     try:
-        m = int(lines[0])
+        m = parse_int(lines[0])
     except ValueError:
         raise KirbyError("first line must be the size, got %r" % (lines[0],))
     if m < 0:
@@ -251,9 +253,9 @@ def parse_matrix(text):
         raise KirbyError("expected %d rows plus a kinds line after the size" % m)
     entries = []
     for ln in lines[1:m + 1]:
-        row = [int(v) for v in ln.split()]
+        row = [parse_int(v) for v in split_fields(ln)]
         if len(row) != m:
             raise KirbyError("row %r does not have %d entries" % (ln, m))
         entries.append(row)
-    kinds = tuple(lines[m + 1].split())
+    kinds = tuple(split_fields(lines[m + 1]))
     return FramedLinkMatrix(entries, kinds)

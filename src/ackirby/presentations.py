@@ -21,7 +21,15 @@ successors (search._successors) and certificate expansion all call it;
 from dataclasses import dataclass
 
 from ackirby import _kernel
-from ackirby.words import Word, exponent_sums, format_word, map_generators, parse_word
+from ackirby.words import (
+    WHITESPACE,
+    Word,
+    exponent_sums,
+    format_word,
+    map_generators,
+    parse_int,
+    parse_word,
+)
 
 
 class MoveError(ValueError):
@@ -371,14 +379,15 @@ def parse_presentation(text):
     >>> parse_presentation("2; xX; y").relators[0]
     Word('')
     """
-    parts = [p.strip() for p in text.split(";")]
-    if not parts or not parts[0]:
+    head, *relators = text.split(";")
+    head = head.strip(WHITESPACE)
+    if not head:
         raise ValueError("presentation text must start with the rank")
     try:
-        rank = int(parts[0])
+        rank = parse_int(head)
     except ValueError:
-        raise ValueError("bad rank %r in presentation text" % (parts[0],))
-    return Presentation(rank, [parse_word(p) for p in parts[1:]])
+        raise ValueError("bad rank %r in presentation text" % (head,))
+    return Presentation(rank, [parse_word(p) for p in relators])
 
 
 def presentation_to_dict(P):

@@ -10,7 +10,15 @@ generators 4..26 (a=4, b=5, ..., w=26); `g` followed by digits is the
 escaped form for any index (g1, g2, ...).  Whitespace (space, tab, LF,
 CR, VT, FF) is ignored.  The text is ASCII: any other character is
 unknown.
+
+Every text form of the package (words, presentations, matrices, and
+the command line's specs and integer flags) takes only WHITESPACE as
+whitespace and reads integers by `parse_int`: ASCII decimal digits.  So
+none takes the separators 0x1C-0x1F, which str.isspace and str.split()
+count as whitespace, or the non-ASCII digits and `_` that int() reads.
 """
+
+import re
 
 from ackirby import _kernel
 
@@ -21,6 +29,10 @@ from ackirby import _kernel
 MAX_GENERATOR = 2**30
 
 _XYZ = "xyz"
+
+WHITESPACE = " \t\n\r\v\f"
+_BLANKS = re.compile("[%s]+" % WHITESPACE)
+_INTEGER = re.compile("[+-]?[0-9]+")
 
 
 class WordError(ValueError):
@@ -203,6 +215,28 @@ def exponent_sums(w, rank):
     return tuple(sums)
 
 
+def parse_int(text):
+    """The integer of ASCII decimal text: an optional sign and digits,
+    between WHITESPACE.  ValueError for anything else.
+
+    >>> parse_int(" -12\\n")
+    -12
+    """
+    digits = text.strip(WHITESPACE)
+    if not _INTEGER.fullmatch(digits):
+        raise ValueError("not a decimal integer: %r" % (text,))
+    return int(digits)
+
+
+def split_fields(text):
+    """The fields of text between runs of WHITESPACE.
+
+    >>> split_fields(" 0 1\\t-1 ")
+    ['0', '1', '-1']
+    """
+    return [field for field in _BLANKS.split(text) if field]
+
+
 def parse_word(text):
     """Parse the text form of a word; the result is freely reduced.
 
@@ -219,7 +253,7 @@ def parse_word(text):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch in " \t\n\r\v\f":    # not str.isspace, which holds for \x1c-\x1f too
+        if ch in WHITESPACE:
             i += 1
             continue
         low = ch.lower()

@@ -19,6 +19,19 @@ def run(*args, stdin=None):
                           capture_output=True, text=True, timeout=300)
 
 
+# integers that int() reads but the command line refuses: a non-ASCII
+# digit, a `_` separator and a non-ASCII blank
+INT_READS = [pytest.param("\u0660", id="arabic_digit"), pytest.param("1_0", id="underscore"),
+             pytest.param("0\xa0", id="nbsp")]
+# the ASCII separators, which int() refuses in its own words
+SEPARATORS = [pytest.param("0" + ch, id="x%x" % ord(ch)) for ch in "\x1c\x1d\x1e\x1f"]
+
+
+def refused(r, message):
+    """Whether a run exited 1 with `message` as its one stderr line."""
+    return (r.returncode, r.stdout, r.stderr) == (1, "", "error: %s\n" % message)
+
+
 class TestWordCommands:
     def test_reduce_to_empty(self):
         r = run("word", "reduce", "xyYX")
@@ -194,6 +207,11 @@ class TestSearchCommand:
         assert doc["outcome"]["stats"]["visited"] == 6
         cert = certificate_from_dict(doc["outcome"]["certificate"])
         assert verify(cert).ok
+
+    @pytest.mark.parametrize("number", INT_READS)
+    def test_family_spec_is_ascii_decimal(self, number):
+        r = run("search", "--family", "n=" + number, "--max-depth", "0")
+        assert refused(r, "family spec must look like n=2, got %r" % ("n=" + number,))
 
     def test_exhausted_exit_one(self):
         r = run("search", "--family", "n=3",
@@ -516,6 +534,30 @@ class TestCurvesCommands:
 
     def test_classify_needs_slope(self):
         assert run("curves", "classify").returncode == 2
+
+    @pytest.mark.parametrize("number", INT_READS + SEPARATORS)
+    def test_slope_is_ascii_decimal(self, number):
+        r = run("curves", "classify", "--slope", number + "/1")
+        assert refused(r, "slope looks like a/b, got %r" % (number + "/1",))
+
+    def test_slope_with_two_bars_is_input_error(self):
+        assert refused(run("curves", "classify", "--slope", "1/2/3"),
+                       "slope looks like a/b, got '1/2/3'")
+
+    @pytest.mark.parametrize("number", INT_READS + SEPARATORS)
+    def test_labeling_is_ascii_decimal(self, number):
+        entry = "L1=%s,0" % number
+        r = run("curves", "enumerate", "--labeling", entry + ";L2=1,0;R1=1,1;R2=0,1")
+        assert refused(r, "labeling entries look like L1=0,0 — got %r" % (entry,))
+
+    @pytest.mark.parametrize("number", INT_READS)
+    def test_integer_flag_is_ascii_decimal(self, number):
+        """Every integer flag is read alike; argparse words the refusal
+        as it words int()'s."""
+        r = run("curves", "enumerate", "--height", number)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.splitlines()[-1] == \
+            "ackirby curves: error: argument --height: invalid int value: %r" % (number,)
 
 
 class TestTopLevel:

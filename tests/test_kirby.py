@@ -240,6 +240,17 @@ class TestText:
             with pytest.raises(KirbyError, match="matrix size must be >= 0, got %d" % size):
                 parse_matrix("%d\n" % size)
 
+    @pytest.mark.parametrize(
+        "entry", ("\u0661", "1_0", "1\x1c", "1\x1d", "1\x1e", "1\x1f", "1\xa0"),
+        ids=("arabic_digit", "underscore", "x1c", "x1d", "x1e", "x1f", "nbsp"))
+    def test_entries_are_ascii_decimal(self, entry):
+        """int() reads a non-ASCII digit and a `_` separator, str.splitlines()
+        breaks a line at 0x1C-0x1E, and str.strip() drops 0x1C-0x1F and
+        non-ASCII blanks; matrix text takes none of them."""
+        with pytest.raises(ValueError) as err:
+            parse_matrix("1\n%s\nh\n" % entry)
+        assert str(err.value) == "not a decimal integer: %r" % (entry,)
+
 
 def symmetric_matrices(max_size=5, bound=5):
     @st.composite

@@ -48,6 +48,23 @@ pres2 = st.tuples(words2, words2).map(
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("text, message", [
+        ("\u0662; x; y", "bad rank '\u0662' in presentation text"),
+        ("1_0" + "; x" * 10, "bad rank '1_0' in presentation text"),
+        ("2\x1c; x; y", "bad rank '2\\x1c' in presentation text"),
+        ("2; x\x1d; y", "unknown character '\\x1d' in word text"),
+        ("2\x1e; x; y", "bad rank '2\\x1e' in presentation text"),
+        ("2; x; y\x1f", "unknown character '\\x1f' in word text"),
+        ("2\xa0; x; y", "bad rank '2\\xa0' in presentation text"),
+    ], ids=("arabic_digit", "underscore", "x1c", "x1d", "x1e", "x1f", "nbsp"))
+    def test_text_reads_ascii(self, text, message):
+        """int() reads a non-ASCII digit and a `_` separator in the rank,
+        and str.strip() drops the ASCII separators 0x1C-0x1F and non-ASCII
+        blanks; the text form takes none of them."""
+        with pytest.raises(ValueError) as err:
+            P(text)
+        assert str(err.value) == message
+
     def test_balanced_enforced(self):
         with pytest.raises(ValueError):
             Presentation(2, [parse_word("x")])

@@ -1,7 +1,7 @@
 """Trajectory rows: fixed `ackirby search` runs, each in a fresh process.
 
     python bench/trajectory.py [--tree DIR ...] [--backend c|python ...]
-                               [--row NAME ...] [--out FILE]
+                               [--row NAME ...] [--repeat N] [--out FILE]
 
 Each row runs `python -m ackirby.cli search ARGS --format json` with
 DIR/src on PYTHONPATH (DIR defaults to this checkout), on the compiled
@@ -9,14 +9,18 @@ kernel (backend `c`; build it first with `python setup.py build_ext
 --inplace` in DIR) or on the pure-Python one (`ACKIRBY_PURE=1`).  Each
 row names the backends it runs on; --backend picks among those.  With
 several --tree values, each row runs on every tree back to back, in the
-order given.  A row records the search's status, visited classes and
-depth reached, its wall time, the child's CPU time and peak RSS
-(`ru_maxrss`), the backend that actually ran, and the commit of DIR.
+order given.  With --repeat N (default 1) each row's search runs N
+times back to back.  A row records the search's status, visited classes
+and depth reached once (it fails if a run disagrees), the median, min
+and max of its wall time and of the child's CPU time over the runs, the
+highest peak RSS (`ru_maxrss`), the backend that actually ran, and the
+commit of DIR.
 
 A speed claim diffs rows from one invocation, for instance
-`--tree PARENT --tree CHANGE`, with equal status and visited counts.
-Rows taken at different times may differ by the speed of the host
-alone, which no row records.
+`--tree PARENT --tree CHANGE --repeat 5`, with equal status and visited
+counts; a short row needs the repeats, since the host's speed drifts
+from one run to the next.  Rows taken at different times may differ by
+the speed of the host alone, which no row records.
 
 With --out the rows are appended to that JSON list (created if absent);
 without it they are printed, one JSON object a line.
@@ -27,6 +31,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -76,17 +81,9 @@ def _git(tree, *args):
                           text=True, check=True).stdout.strip()
 
 
-def run_row(name, tree, backend, prefix):
-    """Run one row's search in a fresh process and return the row;
-    `prefix` is the path of the Gersten prefix certificate."""
-    env = _env(tree, backend)
-    active = subprocess.run([sys.executable, "-c", "import ackirby; print(ackirby.BACKEND)"],
-                            env=env, capture_output=True, text=True, check=True).stdout.strip()
-    if active != backend:
-        raise SystemExit("backend %s requested, but %s ran in %s; is the compiled kernel "
-                         "built in place?" % (backend, active, tree))
-    argv = [str(prefix) if a == PREFIX else a for a in ROWS[name][0]]
-    cmd = [sys.executable, "-m", "ackirby.cli", "search"] + argv + ["--format", "json"]
+def _run_search(cmd, env):
+    """Run one search command; return its exit code, stdout, stderr,
+    wall time and resource usage."""
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=err)
@@ -95,10 +92,42 @@ def run_row(name, tree, backend, prefix):
         proc.returncode = code = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        text, err = out.read(), err.read()
-    if code not in (0, 1, 3):   # found, exhausted, inconclusive
-        raise SystemExit("%s on %s exited %d:\n%s" % (name, backend, code, err))
-    outcome = json.loads(text)["outcome"]
+        return code, out.read(), err.read(), wall, usage
+
+
+def _spread(name, values):
+    """The median, min and max of a row's samples, in seconds."""
+    return {name: round(statistics.median(values), 3),
+            name + "_min": round(min(values), 3), name + "_max": round(max(values), 3)}
+
+
+def run_row(name, tree, backend, prefix, repeat=1):
+    """Run one row's search `repeat` times back to back, each in a fresh
+    process, and return the row; `prefix` is the path of the Gersten
+    prefix certificate."""
+    env = _env(tree, backend)
+    active = subprocess.run([sys.executable, "-c", "import ackirby; print(ackirby.BACKEND)"],
+                            env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if active != backend:
+        raise SystemExit("backend %s requested, but %s ran in %s; is the compiled kernel "
+                         "built in place?" % (backend, active, tree))
+    argv = [str(prefix) if a == PREFIX else a for a in ROWS[name][0]]
+    cmd = [sys.executable, "-m", "ackirby.cli", "search"] + argv + ["--format", "json"]
+    searches, walls, cpus, rss = set(), [], [], []
+    for _ in range(repeat):
+        code, text, err, wall, usage = _run_search(cmd, env)
+        if code not in (0, 1, 3):   # found, exhausted, inconclusive
+            raise SystemExit("%s on %s exited %d:\n%s" % (name, backend, code, err))
+        outcome = json.loads(text)["outcome"]
+        searches.add((outcome["status"], outcome["stats"]["visited"],
+                      outcome["stats"]["depth_reached"]))
+        walls.append(wall)
+        cpus.append(usage.ru_utime + usage.ru_stime)
+        rss.append(usage.ru_maxrss)
+    if len(searches) != 1:
+        raise SystemExit("%s on %s: the runs differ in (status, visited, depth): %s"
+                         % (name, backend, sorted(searches)))
+    ((status, visited, depth),) = searches
     return {
         "row": name,
         "argv": list(ROWS[name][0]),
@@ -106,15 +135,23 @@ def run_row(name, tree, backend, prefix):
         "commit": _git(tree, "rev-parse", "HEAD"),
         "dirty": bool(_git(tree, "status", "--porcelain", "--", "src", "setup.py")),
         "date": datetime.date.today().isoformat(),
-        "status": outcome["status"],
-        "visited": outcome["stats"]["visited"],
-        "depth_reached": outcome["stats"]["depth_reached"],
-        "wall_s": round(wall, 3),
-        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),   # ru_maxrss is in KiB
+        "status": status,
+        "visited": visited,
+        "depth_reached": depth,
+        "repeat": repeat,
+        **_spread("wall_s", walls),
+        **_spread("cpu_s", cpus),
+        "peak_rss_mb": round(max(rss) / 1024, 1),   # ru_maxrss is in KiB
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
     }
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def main(argv=None):
@@ -125,6 +162,8 @@ def main(argv=None):
                         help="kernel to run on (repeatable; default each of the row's)")
     parser.add_argument("--row", choices=sorted(ROWS), action="append",
                         help="row to run (repeatable; default all)")
+    parser.add_argument("--repeat", type=_positive_int, default=1,
+                        help="runs of each row, back to back (default 1)")
     parser.add_argument("--out", type=Path, help="JSON list to append the rows to")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.tree or [ROOT]]
@@ -137,7 +176,7 @@ def main(argv=None):
         for name in args.row or ROWS:
             for backend in [b for b in ROWS[name][1] if b in (args.backend or BACKENDS)]:
                 for tree in trees:
-                    row = run_row(name, tree, backend, prefix)
+                    row = run_row(name, tree, backend, prefix, args.repeat)
                     rows.append(row)
                     print(json.dumps(row, sort_keys=True), flush=True,
                           file=sys.stderr if args.out else sys.stdout)

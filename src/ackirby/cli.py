@@ -40,14 +40,15 @@ from ackirby.kirby import (
     slide,
 )
 from ackirby.presentations import (
+    Presentation,
     abelianization_matrix,
     canonical_presentation,
     is_trivial_presentation,
     move_from_dict,
     move_to_dict,
-    apply_move,
     parse_presentation,
     presentation_to_text,
+    replay_move,
     total_length,
 )
 from ackirby._intdet import integer_determinant
@@ -226,8 +227,10 @@ def _cmd_pres(args):
         if not isinstance(records, list):
             raise ValueError("--moves must hold a JSON array of move records, got %r"
                              % (records,))
+        letters = P.relator_letters
         for move in [move_from_dict(d) for d in records]:
-            P = apply_move(P, move)
+            letters = replay_move(letters, move)
+        P = Presentation._from_letters(letters)
     text = presentation_to_text(P)
     _emit(args, {"presentation": text}, [text])
     return EXIT_OK

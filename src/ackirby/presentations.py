@@ -13,9 +13,15 @@ atomic moves.  All moves are invertible; see inverse_move.
 
 Every atomic move is defined once, in atomic_move, on relator letter
 tuples whose number is the rank; the generator-level moves are generator
-maps applied by words.map_generators.  apply_move, the search's
-successors (search._successors) and certificate expansion all call it;
-`search` says how the search itself expands classes.
+maps applied by words.map_generators.  replay_move applies a move or
+macro to letter tuples by it; apply_move, `search.verify`,
+`search.hybrid_trivialize`'s prefix and the CLI's `presentation apply`
+replay through replay_move, and the search's successors
+(search._successors) and certificate expansion call atomic_move
+directly.  A Presentation is built only where one is returned, by the
+trusted Presentation._from_letters, since the moves keep every relator
+freely reduced and within the rank; `search` says how the search itself
+expands classes.
 """
 
 from dataclasses import dataclass
@@ -57,6 +63,27 @@ class Presentation:
         self._rank = rank
         self._relators = relators
 
+    @classmethod
+    def _from_letters(cls, letters):
+        """Trusted constructor: the presentation of rank len(letters)
+        whose relators are the letter tuples `letters`, each freely
+        reduced and within that rank; nothing is checked.
+
+        Sound for what atomic_move returns, which maps freely reduced
+        relators within rank r to freely reduced relators within its new
+        rank: every index it reads passes _check_index; ConjugateRelator
+        refuses a letter beyond the rank, and so MultiplyByConjugate,
+        which expands to ConjugateRelator atoms, cannot bring one in
+        with its conjugator; Destabilize renumbers only after checking
+        that its generator occurs in no other relator; and Stabilize
+        adds the relator g_{rank+1}.  Canonical relators are reduced and
+        within rank too.
+        """
+        out = cls.__new__(cls)
+        out._rank = len(letters)
+        out._relators = tuple(map(Word._from_reduced, letters))
+        return out
+
     @property
     def rank(self):
         return self._rank
@@ -64,6 +91,11 @@ class Presentation:
     @property
     def relators(self):
         return self._relators
+
+    @property
+    def relator_letters(self):
+        """The relators as letter tuples, as atomic_move takes them."""
+        return tuple(r.letters for r in self._relators)
 
     def total_length(self):
         return sum(len(r) for r in self._relators)
@@ -194,10 +226,20 @@ def apply_move(P, move):
     >>> presentation_to_text(apply_move(P, MultiplyRelator(1, 2, "right")))
     '2; xyXy; y'
     """
-    letters = tuple(r.letters for r in P.relators)
+    return Presentation._from_letters(replay_move(P.relator_letters, move))
+
+
+def replay_move(letters, move):
+    """Apply a move (or macro) to relator letter tuples: each atom of
+    expand_macro(move) in turn, by atomic_move.  A failed precondition
+    raises MoveError.
+
+    >>> replay_move(((1, 2, -1), (2,)), MultiplyRelator(1, 2, "right"))
+    ((1, 2, -1, 2), (2,))
+    """
     for m in expand_macro(move):
         letters = atomic_move(letters, m)
-    return Presentation(len(letters), [Word._from_reduced(r) for r in letters])
+    return letters
 
 
 def atomic_move(relators, move):
@@ -334,8 +376,7 @@ def canonical_form(P):
 
 def canonical_presentation(P):
     """The canonical representative of P's move-symmetry class."""
-    rels = canonical_form(P)
-    return Presentation(len(rels), [Word(r) for r in rels])
+    return Presentation._from_letters(canonical_form(P))
 
 
 def _is_trivial_state(rels):

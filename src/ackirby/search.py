@@ -10,7 +10,9 @@ in the extended regime — a generator basis change.  Bookkeeping moves
 (relator inversion, conjugation, swap) do not change the class and are
 implicit; when a certificate is extracted, every class step is expanded
 into a legal sequence of atomic moves, so certificates always replay
-move by move.
+move by move.  `verify` and `hybrid_trivialize`'s prefix replay on
+relator letter tuples by presentations.replay_move and build a
+Presentation only where they return one.
 
 A class is keyed by its packed state: the `bytes` string that
 `_kernel.pack_state` makes of its sorted canonical relators
@@ -59,7 +61,7 @@ from ackirby.presentations import (
     Stabilize,
     SwapGenerators,
     SwapRelators,
-    apply_move,
+    apply_move,   # unused here; kept so that ackirby.search.apply_move stays importable
     atomic_move,
     canonical_form,
     is_trivial_presentation,
@@ -67,6 +69,7 @@ from ackirby.presentations import (
     move_to_dict,
     presentation_from_dict,
     presentation_to_dict,
+    replay_move,
 )
 
 
@@ -127,17 +130,23 @@ def verify(cert, trace=False):
     the first illegal move, or a reason if the replay ends non-trivially.
     With trace=True the report also carries every intermediate
     presentation as (move, presentation-after) pairs.
+
+    The replay runs on relator letter tuples, move by move through
+    presentations.replay_move, the one definition that apply_move
+    replays too; a Presentation is built only for each trace entry and
+    for the final presentation.
     """
-    P = cert.start
+    letters = cert.start.relator_letters
     log = [] if trace else None
     for idx, move in enumerate(cert.moves):
         try:
-            P = apply_move(P, move)
+            letters = replay_move(letters, move)
         except (MoveError, ValueError) as exc:
             return VerificationReport(False, idx, idx, str(exc), None,
                                       tuple(log) if trace else None)
         if trace:
-            log.append((move, P))
+            log.append((move, Presentation._from_letters(letters)))
+    P = Presentation._from_letters(letters)
     result = tuple(log) if trace else None
     if is_trivial_presentation(P):
         return VerificationReport(True, len(cert.moves), None, None, P, result)
@@ -218,7 +227,7 @@ def _expand_certificate(start, visited, goal, max_len, regime):
         path.append(visited[path[-1]])
     path = [_kernel.unpack_state(state) for state in reversed(path)]
     moves = []
-    rels = tuple(r.letters for r in start.relators)
+    rels = start.relator_letters
 
     def emit(move):
         nonlocal rels
@@ -378,10 +387,10 @@ def hybrid_trivialize(start, prefix, cfg, progress=None):
     """
     if prefix.start != start:
         raise MoveError("prefix certificate starts at a different presentation")
-    P = start
+    letters = start.relator_letters
     for move in prefix.moves:
-        P = apply_move(P, move)
-    out = search(P, cfg, progress)
+        letters = replay_move(letters, move)
+    out = search(Presentation._from_letters(letters), cfg, progress)
     if out.found:
         cert = MoveCertificate(start, tuple(prefix.moves) + out.certificate.moves)
         return SearchOutcome("found", cert, out.stats)

@@ -27,6 +27,10 @@ from ackirby import _kernel
 # bits on some platforms; 2**30 is the largest index whose key still fits,
 # and that kernel rejects larger ones.
 MAX_GENERATOR = 2**30
+# an escaped index with more digits (leading zeros aside) overflows; the
+# count is compared before int(), which refuses more digits than the
+# interpreter's limit (4300 by default) with a message of its own
+_MAX_GENERATOR_DIGITS = len(str(MAX_GENERATOR))
 
 _XYZ = "xyz"
 
@@ -223,9 +227,12 @@ def parse_int(text):
     -12
     """
     digits = text.strip(WHITESPACE)
-    if not _INTEGER.fullmatch(digits):
-        raise ValueError("not a decimal integer: %r" % (text,))
-    return int(digits)
+    if _INTEGER.fullmatch(digits):
+        try:
+            return int(digits)
+        except ValueError:   # beyond the interpreter's digit limit
+            pass
+    raise ValueError("not a decimal integer: %r" % (text,))
 
 
 def split_fields(text):
@@ -262,7 +269,10 @@ def parse_word(text):
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            idx = int(text[i + 1:j])
+            digits = text[i + 1:j].lstrip("0")
+            if len(digits) > _MAX_GENERATOR_DIGITS:
+                raise WordError("escaped generator index overflows: %s" % text[i:j])
+            idx = int(digits or "0")
             if idx < 1:
                 raise WordError("escaped generator index must be >= 1: %s" % text[i:j])
             if idx > MAX_GENERATOR:

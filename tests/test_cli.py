@@ -74,6 +74,11 @@ class TestWordCommands:
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == "error: unknown character '\\x1c' in word text\n"
 
+    def test_escaped_index_beyond_the_int_digit_limit_is_input_error(self):
+        index = "g" + "1" * 5000
+        assert refused(run("word", "reduce", index),
+                       "escaped generator index overflows: %s" % index)
+
     def test_unknown_op_is_usage_error(self):
         assert run("word", "frobnicate", "xy").returncode == 2
 

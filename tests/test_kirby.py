@@ -251,6 +251,16 @@ class TestText:
             parse_matrix("1\n%s\nh\n" % entry)
         assert str(err.value) == "not a decimal integer: %r" % (entry,)
 
+    def test_entry_beyond_the_int_digit_limit(self):
+        """int() refuses more than 4300 digits in its own words; the
+        reader refuses such an entry in its own, and reads a long one
+        within the limit."""
+        entry = "7" * 5000
+        with pytest.raises(ValueError) as err:
+            parse_matrix("1\n%s\nh\n" % entry)
+        assert str(err.value) == "not a decimal integer: %r" % (entry,)
+        assert parse_matrix("1\n-%s\nh\n" % entry[:4000]) == F(((-int(entry[:4000]),),), ("h",))
+
 
 def symmetric_matrices(max_size=5, bound=5):
     @st.composite

@@ -239,6 +239,90 @@ class TestApplyMove:
                        ConjugateRelator(1, 2))
 
 
+def _checked_apply_move(P, move):
+    """apply_move with the result built by the checked constructor: the
+    reference for the trusted one."""
+    letters = tuple(r.letters for r in P.relators)
+    for atom in expand_macro(move):
+        letters = atomic_move(letters, atom)
+    return Presentation(len(letters), letters)
+
+
+@st.composite
+def presentations_and_moves(draw):
+    """A presentation of rank 1..4 and a move of any type, legal or not:
+    indices are mostly in range but may be 0 or one past the rank,
+    letters and conjugators may name the generator beyond the rank or
+    be 0, and signs and sides may take a wrong value."""
+    rank = draw(st.sampled_from((3, 2, 4, 1)))
+    gens = tuple(v for v in range(-rank, rank + 1) if v)
+    # a bare generator relator now and then, for Destabilize
+    relator = st.one_of(st.lists(st.sampled_from(gens), max_size=4),
+                        st.sampled_from(gens).map(lambda v: [v]))
+    relators = draw(st.lists(relator, min_size=rank, max_size=rank))
+    idx = st.sampled_from(tuple(range(1, rank + 1)) * 3 + (0, rank + 1))
+    letter = st.sampled_from(gens * 2 + (0, rank + 1, -rank - 1))
+    sign = st.sampled_from((1, -1, 1, -1, 0))
+    atom = st.sampled_from((
+        st.builds(InvertRelator, idx),
+        st.builds(MultiplyRelator, idx, idx, st.sampled_from(("right", "left", "right", "up"))),
+        st.builds(ConjugateRelator, idx, letter),
+        st.builds(SwapRelators, idx, idx),
+        st.just(Stabilize()),
+        st.builds(Destabilize, idx),
+        st.builds(NielsenGenerator, idx, idx, sign),
+        st.builds(InvertGenerator, idx),
+        st.builds(SwapGenerators, idx, idx),
+        st.builds(MultiplyByConjugate, idx, idx,
+                  st.lists(letter.filter(bool), max_size=3).map(Word), sign),
+    )).flatmap(lambda move: move)
+    move = st.one_of(atom, st.lists(atom, min_size=1, max_size=3).map(
+        lambda moves: Composite(tuple(moves))))
+    return Presentation(rank, relators), draw(move)
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=400, deadline=None)
+    @given(presentations_and_moves())
+    def test_checked_constructor_accepts_every_move_result(self, case):
+        """apply_move builds its result unchecked; the checked
+        constructor, which reduces each relator again and checks its
+        letters against the rank, gives the same presentation.  An
+        illegal move fails with the MoveError message of a reference
+        that builds through the checked constructor."""
+        P, move = case
+        try:
+            _checked_apply_move(P, move)
+        except MoveError as exc:
+            with pytest.raises(MoveError) as err:
+                apply_move(P, move)
+            assert str(err.value) == str(exc)
+            return
+        Q = apply_move(P, move)
+        assert Presentation(Q.rank, [r.letters for r in Q.relators]) == Q
+
+    @pytest.mark.parametrize("move, message", [
+        (MultiplyByConjugate(1, 2, parse_word("z"), 1),
+         "conjugating letter 3 is not a generator of rank 2"),
+        (MultiplyByConjugate(1, 2, parse_word("xZ"), 1),
+         "conjugating letter -3 is not a generator of rank 2"),
+        (MultiplyByConjugate(1, 2, parse_word("x"), 0),
+         "conjugate-multiply sign must be +1 or -1, got 0"),
+        (ConjugateRelator(2, 3), "conjugating letter 3 is not a generator of rank 2"),
+        (Destabilize(2), "destabilize needs generator 2 to occur only in relator 2,"
+                         " but it occurs in relator 1"),
+        (Composite((Stabilize(), MultiplyRelator(3, 3))),
+         "multiply needs two distinct relators, got i = j = 3"),
+        (NielsenGenerator(1, 3), "generator index 3 out of range 1..2"),
+    ], ids=("conjugator_beyond_rank", "conjugator_inverse_beyond_rank", "conjugator_sign",
+            "conjugate_beyond_rank", "destabilize_used_generator", "composite",
+            "nielsen_beyond_rank"))
+    def test_illegal_move_messages(self, move, message):
+        with pytest.raises(MoveError) as err:
+            apply_move(P("2; xyX; y"), move)
+        assert str(err.value) == message
+
+
 class TestInverseMove:
     def test_invert_is_involution(self):
         assert inverse_move(InvertRelator(3), P("1; x")) == InvertRelator(3)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -13,16 +14,20 @@ from ackirby.presentations import (
     ConjugateRelator,
     InvertRelator,
     MoveError,
+    MultiplyByConjugate,
     MultiplyRelator,
     Presentation,
     SwapRelators,
     apply_move,
+    is_trivial_presentation,
     parse_presentation,
     presentation_to_text,
+    replay_move,
 )
 from ackirby.search import (
     MoveCertificate,
     SearchConfig,
+    VerificationReport,
     certificate_from_dict,
     certificate_to_dict,
     hybrid_trivialize,
@@ -99,6 +104,59 @@ class TestVerify:
         for move, after in rep.trace:
             replay = apply_move(replay, move)
             assert replay == after
+
+
+def _chained_verify(cert, trace=False):
+    """verify as a chain of apply_move calls, one Presentation per step:
+    the reference that the letter-tuple replay matches field for field."""
+    P, log = cert.start, []
+    for idx, move in enumerate(cert.moves):
+        try:
+            P = apply_move(P, move)
+        except (MoveError, ValueError) as exc:
+            return VerificationReport(False, idx, idx, str(exc), None,
+                                      tuple(log) if trace else None)
+        log.append((move, P))
+    ok = is_trivial_presentation(P)
+    return VerificationReport(ok, len(cert.moves), None,
+                              None if ok else "final presentation is not trivial", P,
+                              tuple(log) if trace else None)
+
+
+def _parity_certificates():
+    gersten = gersten_certificate()
+    not_a_move = object()
+    return {
+        # an illegal atom in the middle of the Gersten certificate
+        "illegal_atom": MoveCertificate(gersten.start, gersten.moves[:30] + (
+            MultiplyRelator(1, 1, "right"),) + gersten.moves[30:]),
+        # the conjugator's second letter, z, is beyond rank 2: the
+        # expansion fails after its first ConjugateRelator atom
+        "conjugator_beyond_rank": MoveCertificate(P("2; xyX; y"), (
+            InvertRelator(1), MultiplyByConjugate(1, 2, parse_word("zx"), 1),
+            SwapRelators(1, 2))),
+        "not_a_move": MoveCertificate(P("2; xY; y"), (
+            MultiplyRelator(1, 2, "right"), not_a_move, InvertRelator(1))),
+        "gersten": gersten,
+    }
+
+
+class TestVerifyParity:
+    @pytest.mark.parametrize("trace", (False, True), ids=("plain", "trace"))
+    @pytest.mark.parametrize("name", ("illegal_atom", "conjugator_beyond_rank",
+                                      "not_a_move", "gersten"))
+    def test_report_matches_a_chain_of_apply_move(self, name, trace):
+        cert = _parity_certificates()[name]
+        got, want = verify(cert, trace=trace), _chained_verify(cert, trace=trace)
+        for field in dataclasses.fields(VerificationReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        if name == "gersten":
+            assert got.ok and got.steps_applied == 62
+            assert (len(got.trace) == 62) if trace else got.trace is None
+        else:
+            assert not got.ok and got.final is None
+            assert got.failed_step == got.steps_applied == {
+                "illegal_atom": 30, "conjugator_beyond_rank": 1, "not_a_move": 1}[name]
 
 
 class TestSearchOutcomes:
@@ -351,11 +409,11 @@ class TestHybrid:
         once; the concatenation is not replayed a second time."""
         replayed = []
 
-        def counting(P, move):
+        def counting(letters, move):
             replayed.append(move)
-            return apply_move(P, move)
+            return replay_move(letters, move)
 
-        monkeypatch.setattr(search_module, "apply_move", counting)
+        monkeypatch.setattr(search_module, "replay_move", counting)
         out = hybrid_trivialize(presentation_Ln1(2), gersten_prefix_certificate(),
                                 cfg(11, 24))
         assert len(out.certificate.moves) == 62

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ackirby import _kernel
 from ackirby.words import (
+    MAX_GENERATOR,
     Word,
     WordError,
     conjugate,
@@ -88,6 +89,21 @@ class TestParseFormat:
     def test_escape_overflow(self):
         with pytest.raises(WordError):
             parse_word("g99999999999")
+
+    @pytest.mark.parametrize("digits, message", [
+        ("1" * 5000, "escaped generator index overflows: g" + "1" * 5000),
+        ("0" * 5000, "escaped generator index must be >= 1: g" + "0" * 5000),
+    ], ids=("ones", "zeros"))
+    def test_escape_beyond_the_int_digit_limit(self, digits, message):
+        """int() refuses more than 4300 digits in its own words; the
+        reader counts the digits first and gives its own message."""
+        with pytest.raises(WordError) as err:
+            parse_word("g" + digits)
+        assert str(err.value) == message
+
+    def test_escape_leading_zeros_do_not_count(self):
+        assert parse_word("g" + "0" * 5000 + "12").letters == (12,)
+        assert parse_word("G000%d" % MAX_GENERATOR).letters == (-MAX_GENERATOR,)
 
     def test_format_round_trip(self):
         for text in ("", "xyX", "yxyXYX", "xxxYY", "g12G13x"):
